@@ -22,7 +22,7 @@ print("coverage probability after n = 2000 arcs, 100 replications each")
 print("c      p_hat   std_err")
 for c in (0.5, 0.9, 1.1, 1.5, 2.0):
     seq = LengthSequence.harmonic(c=c, cap=0.99)
-    result = coverage_probability(seq, 2000, 100, seed=7, threads=2)
+    result = coverage_probability(seq, 2000, 100, seed=7)
     print(f"{c:<5.1f}  {result.p_hat:<6.2f}  {result.std_err:.4f}")
 
 print("\nfirst-cover times for the divergent case c = 1.2")

@@ -37,6 +37,21 @@ def kahan_cumsum(values) -> np.ndarray:
     return out
 
 
+def log_sum_exp(log_terms: np.ndarray, weights: np.ndarray) -> float:
+    """log(sum(weights * exp(log_terms))) for positive weights, without overflow.
+
+    Shifted by the largest term, whose weights are split off so the rest
+    enters through log1p (Blanchard, Higham & Higham, "Accurately
+    computing the log-sum-exp and softmax functions", IMA J. Numer.
+    Anal. 41(4), 2021).
+    """
+    top = log_terms.max()
+    at_top = log_terms == top
+    m = np.sum(weights * at_top)
+    s = np.sum(weights * np.exp(np.where(at_top, -np.inf, log_terms - top))) / m
+    return float(np.log1p(s) + np.log(m) + top)
+
+
 # Double-double arithmetic: a value is a pair (hi, lo) of float64 scalars
 # or arrays with |lo| <= ulp(hi)/2, worth about 32 significant digits.
 
@@ -149,3 +164,16 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def segmented_gauss_legendre(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened nodes and weights of an ``order``-point rule on every segment.
+
+    Segments are the consecutive pairs of the ascending ``breakpoints``;
+    the result lists each segment's nodes in ascending order.
+    """
+    lo, hi = breakpoints[:-1], breakpoints[1:]
+    xg, wg = gauss_legendre(order)
+    x = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xg).ravel()
+    w = (0.5 * (hi - lo)[:, None] * wg).ravel()
+    return x, w

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import gauss_legendre
+from ._accum import segmented_gauss_legendre
 
 DIRECTIONS = ("increasing", "decreasing")
 
@@ -98,11 +98,7 @@ def _shared_domain(fs) -> float:
 def _merged_product_integral(fs) -> float:
     # Exact: the product is polynomial of degree <= n between merged breakpoints.
     pts = np.unique(np.concatenate([f.breakpoints for f in fs]))
-    nodes = math.ceil((len(fs) + 1) / 2)
-    xg, wg = gauss_legendre(nodes)
-    lo, hi = pts[:-1], pts[1:]
-    x = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xg).ravel()
-    w = (0.5 * (hi - lo)[:, None] * wg).ravel()
+    x, w = segmented_gauss_legendre(pts, math.ceil((len(fs) + 1) / 2))
     prod = np.ones_like(x)
     for f in fs:
         prod *= np.interp(x, f.breakpoints, f.values)

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -47,7 +46,6 @@ class RunConfig:
     t: float | None = None
     trials: int | None = None
     quadrature_cap: int = 2000
-    threads: int | None = None
     format: str = "json"
     out: str | None = None
 
@@ -127,10 +125,11 @@ def render(config: RunConfig, rows: list[dict]) -> str:
         if isinstance(value, list):
             value = ";".join(str(v) for v in value)
         buf.write(f"# {key}={'' if value is None else _csv_cell(value)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow(_csv_cell(v) for v in row.values())
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        for row in rows:
+            writer.writerow(_csv_cell(v) for v in row.values())
     return buf.getvalue()
 
 
@@ -217,8 +216,7 @@ def _run_inequality_check(config: RunConfig) -> list[dict]:
 
 def _run_simulate(config: RunConfig) -> list[dict]:
     seq = parse_sequence_spec(config.seq)
-    result = covering.coverage_probability(seq, config.n, config.reps, config.seed,
-                                           threads=config.threads)
+    result = covering.coverage_probability(seq, config.n, config.reps, config.seed)
     return [{
         "n_arcs": result.n_arcs,
         "replications": result.replications,
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
 
     p = add("pair-probe", "exact vs Monte Carlo two-point avoidance probability")
     p.add_argument("--seq", required=True)
@@ -333,8 +330,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"reps must be >= 1, got {config.reps}")
     if config.trials is not None and config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
-    if config.threads is not None and config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
     if config.quadrature_cap < 0:
         raise ValueError(f"quadrature cap must be nonnegative, got {config.quadrature_cap}")
     return config

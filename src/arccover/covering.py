@@ -9,15 +9,13 @@ exact first covering toss at amortized constant list work per arc.
 
 Reproducibility contract: every replication draws from its own
 counter-based Philox stream keyed by (master seed, replication index),
-so results are independent of execution order and identical under any
-degree of parallelism.
+so results do not depend on the order in which replications run.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,42 +178,22 @@ def first_cover_index(seq: LengthSequence, seed: int, n_max: int) -> int | None:
     return _first_cover(lengths.tolist(), centers.tolist())
 
 
-def coverage_probability(
-    seq: LengthSequence,
-    n: int,
-    reps: int,
-    seed: int,
-    *,
-    threads: int | None = None,
-) -> SimulationResult:
+def coverage_probability(seq: LengthSequence, n: int, reps: int, seed: int) -> SimulationResult:
     """Fraction of replications whose gap set is empty after n arcs.
 
-    Replications are independent and may run on a thread pool; each one
-    owns its RNG substream and writes a single flag, and the reduction
-    is a commutative count, so the result is bit-identical for every
-    schedule and thread count.
+    Each replication owns its RNG substream and contributes one flag to
+    a count, so the result does not depend on the order of replications.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     lengths = generate(seq, n).tolist()
-
-    def one(index: int) -> bool:
+    covered = 0
+    for index in range(reps):
         centers = _replication_rng(seed, index).random(n).tolist()
-        return _first_cover(lengths, centers) is not None
-
-    covered = np.zeros(reps, dtype=bool)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for index, flag in zip(range(reps), pool.map(one, range(reps))):
-                covered[index] = flag
-    else:
-        for index in range(reps):
-            covered[index] = one(index)
-    return SimulationResult.from_counts(
-        seed=seed, replications=reps, n_arcs=n, covered_count=int(covered.sum())
-    )
+        covered += _first_cover(lengths, centers) is not None
+    return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=n, covered_count=covered)
 
 
 def gap_measure_samples(seq: LengthSequence, n: int, reps: int, seed: int) -> np.ndarray:
@@ -248,6 +226,8 @@ def gap_measure_samples(seq: LengthSequence, n: int, reps: int, seed: int) -> np
 # two-point avoidance
 
 def _check_pair_args(lengths, t: float) -> tuple[np.ndarray, float]:
+    # Not sequences.as_lengths: the pair functions accept lengths in any
+    # order, and pair_uncovered_mc maps its draws to arcs by position.
     arr = np.asarray(lengths, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("lengths must be a one-dimensional sequence")

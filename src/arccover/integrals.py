@@ -33,10 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._accum import gauss_legendre, kahan_cumsum
-from .sequences import LengthSequence, epsilon_window, generate
+from ._accum import kahan_cumsum, log_sum_exp, segmented_gauss_legendre
+from .sequences import LengthSequence, as_lengths, epsilon_window, generate
 
 # Breakpoints closer than this are merged into one quadrature segment.
 BREAKPOINT_MERGE_TOL = 1e-15
@@ -109,18 +108,6 @@ class CriterionSeries:
 
 # ---------------------------------------------------------------------------
 # validation helpers
-
-def _as_lengths(lengths) -> np.ndarray:
-    arr = np.asarray(lengths, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("lengths must be a one-dimensional sequence")
-    if arr.size:
-        if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
-            raise ValueError("all lengths must lie strictly inside (0, 1)")
-        if np.any(np.diff(arr) > 0.0):
-            raise ValueError("lengths must be nonincreasing")
-    return arr
-
 
 def _check_window(lengths: np.ndarray, eps: float) -> float:
     eps = float(eps)
@@ -198,7 +185,7 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     and segments are combined by log-sum-exp, so ``log_value`` stays
     finite and accurate even when ``value`` overflows.
     """
-    lengths = _as_lengths(lengths)
+    lengths = as_lengths(lengths)
     eps = _check_window(lengths, eps)
     n = int(lengths.size)
     nodes = math.ceil((n + 1) / 2) if nodes_per_segment is None else int(nodes_per_segment)
@@ -208,10 +195,7 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
         return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
     pts = _breakpoints(lengths, eps)
-    lo, hi = pts[:-1], pts[1:]
-    xg, wg = gauss_legendre(nodes)
-    x = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xg).ravel()
-    w = (0.5 * (hi - lo)[:, None] * wg).ravel()
+    x, w = segmented_gauss_legendre(pts, nodes)
 
     # log prod_k f_k(x) = sum_k log(1 - l_k - min(l_k, x)) - 2 sum_k log(1 - l_k)
     log_denom = 2.0 * math.fsum(math.log1p(-v) for v in lengths)
@@ -224,9 +208,11 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
         log_f[start:start + step] = block.sum(axis=1)
     log_f -= log_denom
 
-    log_value = float(logsumexp(log_f, b=w))
+    log_value = log_sum_exp(log_f, w)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_value))
     return QuadratureResult(
-        value=float(np.exp(log_value)),
+        value=value,
         log_value=log_value,
         segment_count=len(pts) - 1,
         nodes_per_segment=nodes,
@@ -286,7 +272,7 @@ def chebyshev_lower_bound(lengths, eps: float) -> float:
     positive functions this bounds the product integral from below.
     Returns eps for empty input, consistent with the empty product.
     """
-    lengths = _as_lengths(lengths)
+    lengths = as_lengths(lengths)
     eps = _check_window(lengths, eps)
     n = int(lengths.size)
     if n == 0:
@@ -304,7 +290,7 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     nonnegative because eps < 1/2.  bound_log equals
     log(chebyshev_lower_bound) identically.
     """
-    lengths = _as_lengths(lengths)
+    lengths = as_lengths(lengths)
     eps = _check_window(lengths, eps)
     if eps >= 0.5:
         raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")

@@ -27,6 +27,19 @@ def _normalize_family(name: str) -> str:
     return name.strip().lower().replace("-", "_").replace("explicit_list", "explicit")
 
 
+def as_lengths(lengths) -> np.ndarray:
+    """``lengths`` as a float64 array, checked to be 1-d, inside (0, 1) and nonincreasing."""
+    arr = np.asarray(lengths, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("lengths must be a one-dimensional sequence")
+    if arr.size:
+        if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
+            raise ValueError("all lengths must lie strictly inside (0, 1)")
+        if np.any(np.diff(arr) > 0.0):
+            raise ValueError("lengths must be nonincreasing")
+    return arr
+
+
 @dataclass(frozen=True)
 class LengthSequence:
     """Deterministic generator of nonincreasing arc lengths in (0, 1).
@@ -60,12 +73,7 @@ class LengthSequence:
         if self.family == "explicit":
             if not self.values:
                 raise ValueError("explicit family requires a nonempty values list")
-            vals = tuple(float(v) for v in self.values)
-            if any(not 0.0 < v < 1.0 for v in vals):
-                raise ValueError("explicit values must all lie strictly inside (0, 1)")
-            if any(b > a for a, b in zip(vals, vals[1:])):
-                raise ValueError("explicit values must be nonincreasing")
-            object.__setattr__(self, "values", vals)
+            object.__setattr__(self, "values", tuple(as_lengths(self.values).tolist()))
             return
         if not self.c > 0.0:
             raise ValueError(f"scale c must be positive, got {self.c}")

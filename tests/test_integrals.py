@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover._accum import gauss_legendre
+from arccover._accum import gauss_legendre, log_sum_exp
 from arccover.integrals import (
     chebyshev_lower_bound,
     criterion_partial_sums,
@@ -165,6 +166,21 @@ class TestGaussLegendre:
             gauss_legendre(0)
 
 
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        # scipy.special.logsumexp is the reference this helper replaced;
+        # the documents depend on every bit, so equality is exact.
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(9)
+        for trial in range(2000):
+            size = int(rng.integers(1, 300))
+            log_terms = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size)
+            if trial % 3 == 0:  # ties at the maximum
+                log_terms[rng.integers(0, size, 3)] = log_terms.max()
+            weights = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-5, 2)
+            assert log_sum_exp(log_terms, weights) == float(special.logsumexp(log_terms, b=weights))
+
+
 class TestProductIntegral:
     def test_single_factor_reduces(self):
         result = product_integral([0.2], 0.3)
@@ -231,6 +247,21 @@ class TestProductIntegral:
         a = product_integral([0.3, 0.2, 0.1], 0.4)
         b = product_integral([0.3, 0.2, 0.1], 0.4)
         assert a == b
+
+    def test_overflow_keeps_log_value(self):
+        # l >= eps makes every factor (1 - l - t)/(1 - l)**2 on the whole
+        # window, so I_n = ((1-l)**(n+1) - (1-l-eps)**(n+1)) / ((n+1)(1-l)**(2n)),
+        # about exp(889): value overflows, log_value must not.
+        mpmath = pytest.importorskip("mpmath")
+        l, eps, n = 0.45, 0.05, 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = product_integral([l] * n, eps)
+        assert result.value == math.inf
+        with mpmath.workdps(40):
+            a, b = 1 - mpmath.mpf(l), 1 - mpmath.mpf(l) - mpmath.mpf(eps)
+            oracle = float(mpmath.log((a ** (n + 1) - b ** (n + 1)) / ((n + 1) * a ** (2 * n))))
+        assert abs(result.log_value - oracle) <= 1e-11
 
 
 class TestGrowth:
