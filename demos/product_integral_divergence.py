@@ -29,7 +29,7 @@ m = threshold_index(SEQ, EPS, 100)
 print(f"head size m (terms with l_k >= eps): {m}\n")
 
 print("n        log integral   bound_log    g_log_sum")
-for row in divergence_table(SEQ, EPS, [0, 10, 100, 1000], quadrature_cap=400):
+for row in divergence_table(SEQ, EPS, [0, 10, 100, 1000], quadrature_cap=1000):
     quad = "     (capped)" if row.log_product_integral is None else f"{row.log_product_integral:13.4f}"
     print(f"{row.n:<8d} {quad}  {row.bound_log:10.4f}  {row.g_log_sum:11.4f}")
 
@@ -54,5 +54,5 @@ for n in (100, 10**3, 10**5):
 
 print("\nexact quadrature at a modest n for scale:")
 q = product_integral(lengths[:200], EPS)
-print(f"n = 200: integral = exp({q.log_value:.4f}), {q.segment_count} segments, "
-      f"{q.nodes_per_segment} nodes/segment")
+print(f"n = 200: integral = exp({q.log_value:.4f}), {q.segment_count} pieces, "
+      f"{q.nodes_per_segment} nodes each")

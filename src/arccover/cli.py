@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 

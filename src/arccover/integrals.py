@@ -10,7 +10,9 @@ squared single-point avoidance probability.  This module evaluates
 
 * the closed-form integral of one factor over [0, eps],
 * the product integral  I_n = integral_0^eps  prod_k f_{l_k}(t) dt
-  exactly (to roundoff) by piecewise Gauss-Legendre quadrature,
+  to roundoff by piecewise Gauss-Legendre quadrature: exact up to
+  degree 23, and a 12-node rule on short pieces above it, O(n) points
+  of O(n) work each,
 * the Chebyshev-route lower bound  eps**(1-n) * prod_k integral(f_{l_k})
   and its certificate decomposition through the growth function
 
@@ -40,13 +42,23 @@ from .sequences import LengthSequence, as_lengths, epsilon_window, generate
 # Breakpoints closer than this are merged into one quadrature segment.
 BREAKPOINT_MERGE_TOL = 1e-15
 
-# Points-times-lengths evaluations are chunked to bound peak memory.
-_CHUNK_ELEMENTS = 1 << 22
+# Points-times-factors evaluations are chunked to bound peak memory; a
+# 512 KiB block also stays in cache through the five passes over it.
+_CHUNK_ELEMENTS = 1 << 16
+
+# Default cap on Gauss-Legendre nodes per quadrature piece: exact up to
+# degree 23, at roundoff above it on pieces sized by the log-drop.
+_MAX_NODES = 12
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value and log-value of a product integral, with quadrature metadata."""
+    """Value and log-value of a product integral, with quadrature metadata.
+
+    ``segment_count`` counts the quadrature pieces (breakpoint segments,
+    some cut into equal sub-segments), so ``segment_count *
+    nodes_per_segment`` is the number of points evaluated.
+    """
 
     value: float
     log_value: float
@@ -176,45 +188,89 @@ def _breakpoints(lengths: np.ndarray, eps: float) -> np.ndarray:
     return np.asarray(kept)
 
 
-def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = None) -> QuadratureResult:
-    """Integrate prod_k f_{l_k}(t) over [0, eps] exactly up to roundoff.
+def _log_integrand(lengths: np.ndarray, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log prod_k f_{l_k}(x) at the ascending points ``x``, in cache-sized chunks.
 
-    Between consecutive breakpoints the integrand is a polynomial of
-    degree at most n, so Gauss-Legendre with ceil((n+1)/2) nodes per
-    segment is exact.  Pointwise values are formed as exp(sum of logs)
-    and segments are combined by log-sum-exp, so ``log_value`` stays
-    finite and accurate even when ``value`` overflows.
+    ``flat[j]`` is the sum of the constants log1p(-(l/(1 - l))**2) over
+    the j smallest lengths, so a chunk evaluates only the d factors with
+    l_k > its first point, as log1p((l - l**2 - min(l, x)) / (1 - l)**2);
+    the min turns a factor that goes flat inside the chunk into its
+    constant.
+    """
+    n = lengths.size
+    ascending = lengths[::-1]
+    head = lengths - lengths * lengths
+    scale = np.square(1.0 - lengths)
+    out = np.empty_like(x)
+    start = 0
+    while start < x.size:
+        flat_count = int(np.searchsorted(ascending, x[start], side="right"))
+        d = n - flat_count
+        stop = start + max(1, _CHUNK_ELEMENTS // max(d, 1))
+        block = np.minimum(lengths[:d], x[start:stop, None])
+        np.subtract(head[:d], block, out=block)
+        block /= scale[:d]
+        np.log1p(block, out=block)
+        out[start:stop] = block.sum(axis=1) + flat[flat_count]
+        start = stop
+    return out
+
+
+def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = None) -> QuadratureResult:
+    """Integrate prod_k f_{l_k}(t) over [0, eps] to roundoff accuracy.
+
+    On a breakpoint segment [a, b] the factors with l_k <= a are
+    constants and the d factors with l_k > a make the integrand a
+    polynomial of degree d.  The rule has q = min(ceil((n+1)/2), 12)
+    Gauss-Legendre nodes, exact for every segment with d <= 2q - 1 (so
+    for every n <= 23).  A segment of higher degree is cut into
+    ceil(L) equal pieces, where L is the drop of the log-integrand
+    across it.  The log-integrand is concave there, so the first piece,
+    which carries the most mass, drops by at most 1 and the 12-node rule
+    is at roundoff on it; each later piece drops faster but its values
+    are smaller by the drop before it.  An explicit
+    ``nodes_per_segment`` sets q without the cap; ceil((n+1)/2) then
+    integrates every segment exactly in one piece.  Pointwise values are
+    formed as exp(sum of logs) and pieces are combined by log-sum-exp,
+    so ``log_value`` stays finite and accurate even when ``value``
+    overflows.
     """
     lengths = as_lengths(lengths)
     eps = _check_window(lengths, eps)
     n = int(lengths.size)
-    nodes = math.ceil((n + 1) / 2) if nodes_per_segment is None else int(nodes_per_segment)
+    if nodes_per_segment is None:
+        nodes = min(math.ceil((n + 1) / 2), _MAX_NODES)
+    else:
+        nodes = int(nodes_per_segment)
     if nodes < 1:
         raise ValueError(f"nodes_per_segment must be >= 1, got {nodes_per_segment}")
     if n == 0:
         return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
+    # Only lengths <= eps are ever flat on the window, and those are below
+    # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
+    ascending = lengths[::-1]
+    small = ascending[:np.count_nonzero(lengths <= eps)]
+    flat = np.concatenate(([0.0], kahan_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
+
     pts = _breakpoints(lengths, eps)
-    x, w = segmented_gauss_legendre(pts, nodes)
+    lo, width = pts[:-1], np.diff(pts)
+    degree = n - np.searchsorted(ascending, lo, side="right")
+    drop = -np.diff(_log_integrand(lengths, flat, pts))
+    # Roundoff can make the drop across a segment of width ~1e-15 read <= 0.
+    pieces = np.where(degree > 2 * nodes - 1, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
+    seg = np.repeat(np.arange(lo.size), pieces)
+    offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(lo[seg] + width[seg] * offset / pieces[seg], eps)
+    x, w = segmented_gauss_legendre(edges, nodes)
 
-    # log prod_k f_k(x) = sum_k log(1 - l_k - min(l_k, x)) - 2 sum_k log(1 - l_k)
-    log_denom = 2.0 * math.fsum(math.log1p(-v) for v in lengths)
-    log_f = np.empty_like(x)
-    step = max(1, _CHUNK_ELEMENTS // n)
-    for start in range(0, x.size, step):
-        xs = x[start:start + step, None]
-        block = 1.0 - lengths - np.minimum(lengths, xs)
-        np.log(block, out=block)
-        log_f[start:start + step] = block.sum(axis=1)
-    log_f -= log_denom
-
-    log_value = log_sum_exp(log_f, w)
+    log_value = log_sum_exp(_log_integrand(lengths, flat, x), w)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
     return QuadratureResult(
         value=value,
         log_value=log_value,
-        segment_count=len(pts) - 1,
+        segment_count=int(seg.size),
         nodes_per_segment=nodes,
     )
 
@@ -311,9 +367,9 @@ def divergence_table(
 ) -> list[DivergenceRow]:
     """Lower-bound certificates (and exact quadrature where affordable) at checkpoints.
 
-    Quadrature costs O(n**2) points of O(n) work each, so
+    Quadrature costs O(n) points of O(n) work each, so
     ``log_product_integral`` is evaluated only for n <= quadrature_cap;
-    the certificate is cheap and always reported.
+    the certificate costs O(n) and is always reported.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:

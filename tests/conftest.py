@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These helpers deliberately avoid the library code paths they are used
-to check: plain midpoint Riemann sums and brute-force grids only.
+to check: plain midpoint Riemann sums, brute-force grids and
+high-precision mpmath integrals only.
 """
 
 from __future__ import annotations
@@ -21,6 +22,32 @@ def midpoint_riemann(fn, a: float, b: float, points: int = 10**6) -> float:
         idx = np.arange(start, min(start + chunk, points), dtype=np.float64)
         total += float(fn(a + (idx + 0.5) * h).sum())
     return total * h
+
+
+def mp_log_product_integral(mpmath, lengths, eps: float) -> float:
+    """log I_n by 40-digit mpmath.quad over the exact piecewise-polynomial integrand.
+
+    On each breakpoint segment [a, b] the factors with l <= a are the
+    constant (1 - 2l)/(1 - l)**2 and the rest are (1 - l - t)/(1 - l)**2,
+    so the constants and denominators are multiplied once per segment.
+    """
+    with mpmath.workdps(40):
+        ls = [mpmath.mpf(float(v)) for v in lengths]
+        pts = [mpmath.mpf(0)] + sorted({v for v in ls if v < eps}) + [mpmath.mpf(eps)]
+        total = mpmath.mpf(0)
+        for a, b in zip(pts[:-1], pts[1:]):
+            roots = [1 - v for v in ls if v > a]
+            scale = (mpmath.fprod((1 - 2 * v) / (1 - v) ** 2 for v in ls if v <= a)
+                     / mpmath.fprod(r * r for r in roots))
+
+            def integrand(t, roots=roots, scale=scale):
+                out = scale
+                for r in roots:
+                    out *= r - t
+                return out
+
+            total += mpmath.quad(integrand, [a, b], method="gauss-legendre")
+        return float(mpmath.log(total))
 
 
 def shepp_factor_polyline(l: float, eps: float) -> MonotonePiecewiseLinear:

@@ -11,6 +11,8 @@ from arccover import chebyshev
 from arccover.cli import main
 from arccover.sequences import generate, parse_sequence_spec
 
+from conftest import mp_log_product_integral
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Output schema stability: these exact invocations are frozen as golden
@@ -101,21 +103,6 @@ def test_cli_import_loads_no_scipy(tmp_path):
                           cwd=tmp_path, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def mp_log_product_integral(mpmath, lengths, eps: float) -> float:
-    """log I_n by mpmath.quad over the exact piecewise-polynomial integrand."""
-    with mpmath.workdps(40):
-        ls = [mpmath.mpf(float(v)) for v in lengths]
-
-        def integrand(t):
-            out = mpmath.mpf(1)
-            for v in ls:
-                out *= (1 - v - min(v, t)) / (1 - v) ** 2
-            return out
-
-        pts = [mpmath.mpf(0)] + sorted({v for v in ls if v < eps}) + [mpmath.mpf(eps)]
-        return float(mpmath.log(mpmath.quad(integrand, pts, method="gauss-legendre")))
 
 
 def mp_inequality_lhs(mpmath, family) -> float:

@@ -18,9 +18,9 @@ from arccover.integrals import (
     product_integral,
     shepp_lower_bound,
 )
-from arccover.sequences import LengthSequence
+from arccover.sequences import LengthSequence, generate
 
-from conftest import midpoint_riemann
+from conftest import midpoint_riemann, mp_log_product_integral
 
 
 def random_instance(rng, n_max=8, eps_below_half=False):
@@ -262,6 +262,64 @@ class TestProductIntegral:
             a, b = 1 - mpmath.mpf(l), 1 - mpmath.mpf(l) - mpmath.mpf(eps)
             oracle = float(mpmath.log((a ** (n + 1) - b ** (n + 1)) / ((n + 1) * a ** (2 * n))))
         assert abs(result.log_value - oracle) <= 1e-11
+
+    @pytest.mark.parametrize("l, eps", [(0.98, 0.019), (0.95, 0.045)])
+    def test_roots_near_window_keep_roundoff(self, l, eps):
+        # Roots 1 - l - eps = 0.001 / 0.005 past the window: the integrand
+        # falls by exp(600) / exp(460) across it, so pieces sized by the
+        # degree alone (d*h <= 1) would leave errors near 1e-5 / 1e-10.
+        # Closed form as in test_overflow_keeps_log_value.
+        mpmath = pytest.importorskip("mpmath")
+        n = 200
+        result = product_integral([l] * n, eps)
+        with mpmath.workdps(40):
+            a, b = 1 - mpmath.mpf(l), 1 - mpmath.mpf(l) - mpmath.mpf(eps)
+            oracle = float(mpmath.log((a ** (n + 1) - b ** (n + 1)) / ((n + 1) * a ** (2 * n))))
+        assert abs(result.log_value - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("seq, n", [
+        (LengthSequence.harmonic(c=1, cap=0.49), 300),
+        (LengthSequence.inverse_sqrt(c=1, cap=0.49), 200),
+    ], ids=["harmonic-300", "inverse-sqrt-200"])
+    def test_long_products_match_mpmath(self, seq, n):
+        # Above degree 23 the capped rule is no longer exact on a segment;
+        # its pieces must still reproduce the 40-digit integral.
+        mpmath = pytest.importorskip("mpmath")
+        lengths = generate(seq, n)
+        oracle = mp_log_product_integral(mpmath, lengths, 0.25)
+        assert abs(product_integral(lengths, 0.25).log_value - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("n", [50, 200, 500])
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.constant(0.3),
+        LengthSequence.harmonic(c=1, cap=0.49),
+        LengthSequence.inverse_sqrt(c=1, cap=0.49),
+        LengthSequence.power_decay(c=1, alpha=0.75, cap=0.49),
+    ], ids=["constant", "harmonic", "inverse-sqrt", "power-decay"])
+    def test_capped_rule_matches_degree_exact_rule(self, seq, n):
+        # ceil((n+1)/2) nodes integrate every segment exactly in one piece.
+        lengths = generate(seq, n)
+        exact = product_integral(lengths, 0.25, nodes_per_segment=math.ceil((n + 1) / 2))
+        assert exact.segment_count <= n + 1  # one piece per breakpoint segment
+        assert abs(product_integral(lengths, 0.25).log_value - exact.log_value) <= 1e-12
+
+    def test_flat_factor_above_half_stays_finite(self):
+        # log1p(-(l/(1 - l))**2) is NaN for l >= 1/2; a length at or above
+        # eps is never flat on the window, so that term must not be formed.
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = product_integral([0.6, 0.1], 0.3)
+        assert math.isfinite(result.log_value)
+        assert abs(result.log_value - mp_log_product_integral(mpmath, [0.6, 0.1], 0.3)) <= 1e-14
+
+    def test_point_count_is_linear_in_n(self):
+        # Structural guard against cubic work: O(n) quadrature points
+        # (the degree-exact rule used 985 pieces of 501 nodes here).
+        n = 1000
+        result = product_integral(generate(LengthSequence.inverse_sqrt(c=1, cap=0.49), n), 0.25)
+        assert result.nodes_per_segment == 12
+        assert result.segment_count * result.nodes_per_segment <= 16 * n
 
 
 class TestGrowth:
