@@ -1,10 +1,15 @@
 """Batch command-line front end emitting deterministic CSV or JSON tables.
 
-Identical configurations produce byte-identical output: floats are
-printed with 17 significant digits (lossless round trips), the full
+Identical configurations produce byte-identical output: the full
 configuration is echoed into every document, and no timestamps or
 environment state leak in.  Seeds are always explicit flags;
 environment variables are deliberately not consulted.
+
+Every cell, in CSV and in JSON, is formatted by one rule: None is empty
+in CSV and ``null`` in JSON, booleans are ``true``/``false``, integers
+are decimal, and floats are ``"%.17g"`` (lossless round trips), which
+prints ``inf``/``-inf``/``nan`` in CSV; JSON writes ``null`` for a
+non-finite float.  No cell needs CSV quoting.
 
 Exit status: 0 success, 1 runtime error, 2 invalid configuration.
 """
@@ -12,8 +17,6 @@ Exit status: 0 success, 1 runtime error, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -23,9 +26,6 @@ import numpy as np
 
 from . import chebyshev, covering, integrals
 from .sequences import generate, parse_sequence_spec
-
-COMMANDS = ("integrate", "bound", "divergence", "criterion",
-            "inequality-check", "simulate", "pair-probe")
 
 # Per-trial draw ranges of the inequality-check command.
 TRIAL_MAX_FUNCTIONS = 10
@@ -53,192 +53,168 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt_float(x: float) -> str | None:
-    if math.isnan(x) or math.isinf(x):
-        return None
-    return "%.17g" % x
-
-
-def _json_scalar(value) -> str:
+def _cell(value, as_json: bool) -> str:
+    """The one formatting rule for a scalar, in a CSV cell or a JSON value."""
+    if isinstance(value, float):
+        if as_json and not math.isfinite(value):
+            return "null"
+        return "%.17g" % value
     if value is None:
-        return "null"
+        return "null" if as_json else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        text = _fmt_float(float(value))
-        return "null" if text is None else text
-    return json.dumps(str(value))
+    return json.dumps(str(value)) if as_json else str(value)
 
 
-def _json_render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(f"{inner}{json.dumps(k)}: {_json_render(v, indent + 1)}" for k, v in value.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
-            return "[" + ", ".join(_json_scalar(v) for v in seq) + "]"
-        items = ",\n".join(f"{inner}{_json_render(v, indent + 1)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    return _json_scalar(value)
+def _setting(value, as_json: bool) -> str:
+    """A configuration value: a cell, or a tuple of cells (the checkpoints)."""
+    if not isinstance(value, tuple):
+        return _cell(value, as_json)
+    if as_json:
+        return "[" + ", ".join(_cell(v, True) for v in value) + "]"
+    return ";".join(_cell(v, False) for v in value)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return "%.17g" % x
-    return str(value)
+def _json_object(members, indent: str) -> str:
+    """A JSON object from (quoted key, formatted value) pairs, one member per line."""
+    lines = ",\n".join(f"{indent}  {key}: {value}" for key, value in members)
+    return "{\n" + lines + "\n" + indent + "}"
 
 
-def _config_dict(config: RunConfig) -> dict:
-    doc = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        doc[f.name] = list(value) if isinstance(value, tuple) else value
-    return doc
+def render(config: RunConfig, columns: dict) -> str:
+    """The document of one run: the configuration echo, then the rows.
 
+    ``columns`` maps each column name, in order, to its cells.
+    """
+    as_json = config.format == "json"
+    settings = [(f.name, getattr(config, f.name)) for f in fields(config)]
+    # Rows are formatted one at a time, so no column of cell strings is held.
+    rows = zip(*((_cell(v, as_json) for v in column) for column in columns.values()))
+    if not as_json:
+        lines = [f"# {key}={_setting(value, False)}" for key, value in settings]
+        body = [",".join(row) for row in rows]
+        if body:
+            lines.append(",".join(columns))
+            lines.extend(body)
+        lines.append("")
+        return "\n".join(lines)
 
-def render(config: RunConfig, rows: list[dict]) -> str:
-    if config.format == "json":
-        doc = {"config": _config_dict(config), "rows": rows}
-        return _json_render(doc, 0) + "\n"
-    buf = io.StringIO()
-    for key, value in _config_dict(config).items():
-        if isinstance(value, list):
-            value = ";".join(str(v) for v in value)
-        buf.write(f"# {key}={'' if value is None else _csv_cell(value)}\n")
-    if rows:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(_csv_cell(v) for v in row.values())
-    return buf.getvalue()
+    config_doc = _json_object([(json.dumps(key), _setting(value, True)) for key, value in settings], "  ")
+    keys = [json.dumps(name) for name in columns]
+    row_docs = ["    " + _json_object(zip(keys, row), "    ") for row in rows]
+    rows_doc = "[\n" + ",\n".join(row_docs) + "\n  ]" if row_docs else "[]"
+    return '{\n  "config": ' + config_doc + ',\n  "rows": ' + rows_doc + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns a list of row dicts)
+# command implementations (each returns its columns, {name: cells})
 
-def _run_integrate(config: RunConfig) -> list[dict]:
+def _run_integrate(config: RunConfig) -> dict:
     seq = parse_sequence_spec(config.seq)
     lengths = generate(seq, config.n) if config.n else []
     result = integrals.product_integral(lengths, config.eps)
-    return [{
-        "n": config.n,
-        "eps": config.eps,
-        "value": result.value,
-        "log_value": result.log_value,
-        "segment_count": result.segment_count,
-        "nodes_per_segment": result.nodes_per_segment,
-    }]
+    return {
+        "n": [config.n],
+        "eps": [config.eps],
+        "value": [result.value],
+        "log_value": [result.log_value],
+        "segment_count": [result.segment_count],
+        "nodes_per_segment": [result.nodes_per_segment],
+    }
 
 
-def _run_bound(config: RunConfig) -> list[dict]:
+def _run_bound(config: RunConfig) -> dict:
     seq = parse_sequence_spec(config.seq)
     lengths = generate(seq, config.n) if config.n else []
     cert = integrals.shepp_lower_bound(lengths, config.eps)
-    return [{
-        "n": config.n,
-        "eps": config.eps,
-        "m": cert.m,
-        "log_C": cert.log_C,
-        "g_log_sum": cert.g_log_sum,
-        "bound_log": cert.bound_log,
-    }]
+    return {
+        "n": [config.n],
+        "eps": [config.eps],
+        "m": [cert.m],
+        "log_C": [cert.log_C],
+        "g_log_sum": [cert.g_log_sum],
+        "bound_log": [cert.bound_log],
+    }
 
 
-def _run_divergence(config: RunConfig) -> list[dict]:
+def _run_divergence(config: RunConfig) -> dict:
     seq = parse_sequence_spec(config.seq)
     rows = integrals.divergence_table(seq, config.eps, config.checkpoints,
                                       quadrature_cap=config.quadrature_cap)
-    return [{
-        "n": row.n,
-        "log_product_integral": row.log_product_integral,
-        "bound_log": row.bound_log,
-        "g_log_sum": row.g_log_sum,
-    } for row in rows]
+    return {
+        "n": [row.n for row in rows],
+        "log_product_integral": [row.log_product_integral for row in rows],
+        "bound_log": [row.bound_log for row in rows],
+        "g_log_sum": [row.g_log_sum for row in rows],
+    }
 
 
-def _run_criterion(config: RunConfig) -> list[dict]:
+def _run_criterion(config: RunConfig) -> dict:
+    picks = np.arange(config.n)
+    if config.checkpoints:
+        # Rows follow the given order; checkpoint 0 selects no row.
+        checkpoints = config.checkpoints
+        if min(checkpoints) < 0 or max(checkpoints) > config.n or len(set(checkpoints)) < len(checkpoints):
+            raise ValueError(f"checkpoints must be distinct and lie in 0..n = {config.n}")
+        picks = np.array([c - 1 for c in checkpoints if c >= 1], dtype=np.int64)
     seq = parse_sequence_spec(config.seq)
     series = integrals.criterion_partial_sums(seq, config.n)
-    if config.checkpoints:
-        if config.checkpoints[-1] > config.n:
-            raise ValueError("checkpoints may not exceed n")
-        picks = [c - 1 for c in config.checkpoints if c >= 1]
-    else:
-        picks = list(range(config.n))
-    return [{
-        "n": i + 1,
-        "log_term": float(series.partial_log_terms[i]),
-        "log_partial_sum": float(series.log_partial_sums[i]),
-        "partial_sum": float(series.partial_sums[i]),
-    } for i in picks]
+    return {
+        "n": picks + 1,
+        "log_term": series.partial_log_terms[picks],
+        "log_partial_sum": series.log_partial_sums[picks],
+        "partial_sum": series.partial_sums[picks],
+    }
 
 
-def _run_inequality_check(config: RunConfig) -> list[dict]:
+def _run_inequality_check(config: RunConfig) -> dict:
     master = np.random.default_rng(config.seed)
-    rows = []
-    for trial in range(config.trials):
+    sizes, results = [], []
+    for _ in range(config.trials):
         n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
         segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
         direction = "increasing" if master.integers(2) else "decreasing"
         family_seed = int(master.integers(1 << 63))
         family = chebyshev.random_monotone_family(family_seed, n, direction, segments)
-        result = chebyshev.check_inequality(family)
-        rows.append({
-            "trial": trial,
-            "n": n,
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "margin": result.margin,
-            "holds": result.holds,
-        })
-    return rows
+        sizes.append(n)
+        results.append(chebyshev.check_inequality(family))
+    return {
+        "trial": range(config.trials),
+        "n": sizes,
+        "lhs": [r.lhs for r in results],
+        "rhs": [r.rhs for r in results],
+        "margin": [r.margin for r in results],
+        "holds": [r.holds for r in results],
+    }
 
 
-def _run_simulate(config: RunConfig) -> list[dict]:
+def _run_simulate(config: RunConfig) -> dict:
     seq = parse_sequence_spec(config.seq)
     result = covering.coverage_probability(seq, config.n, config.reps, config.seed)
-    return [{
-        "n_arcs": result.n_arcs,
-        "replications": result.replications,
-        "covered_count": result.covered_count,
-        "p_hat": result.p_hat,
-        "std_err": result.std_err,
-    }]
+    return {
+        "n_arcs": [result.n_arcs],
+        "replications": [result.replications],
+        "covered_count": [result.covered_count],
+        "p_hat": [result.p_hat],
+        "std_err": [result.std_err],
+    }
 
 
-def _run_pair_probe(config: RunConfig) -> list[dict]:
+def _run_pair_probe(config: RunConfig) -> dict:
     seq = parse_sequence_spec(config.seq)
     lengths = generate(seq, config.n)
     exact = covering.pair_uncovered_exact(lengths, config.t)
     result = covering.pair_uncovered_mc(lengths, config.t, config.reps, config.seed)
-    return [{
-        "n_arcs": result.n_arcs,
-        "t": config.t,
-        "exact": exact,
-        "count": result.covered_count,
-        "p_hat": result.p_hat,
-        "std_err": result.std_err,
-    }]
+    return {
+        "n_arcs": [result.n_arcs],
+        "t": [config.t],
+        "exact": [exact],
+        "count": [result.covered_count],
+        "p_hat": [result.p_hat],
+        "std_err": [result.std_err],
+    }
 
 
 _RUNNERS = {

@@ -24,6 +24,9 @@ squared single-point avoidance probability.  This module evaluates
   sum(l_k**2) diverges,
 * Shepp's covering criterion series  sum_n n**(-2) * exp(l_1 + ... + l_n).
 
+Cumulative sums (length prefixes, flat-factor prefixes) are compensated
+with the cumulative form of Sum2 (``_accum.compensated_cumsum``).
+
 All reals are 64-bit floats and all log values are natural logs.
 Everything is a pure function of its inputs and safe to call
 concurrently.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import kahan_cumsum, log_sum_exp, segmented_gauss_legendre
+from ._accum import compensated_cumsum, log_sum_exp, segmented_gauss_legendre
 from .sequences import LengthSequence, as_lengths, epsilon_window, generate
 
 # Breakpoints closer than this are merged into one quadrature segment.
@@ -176,26 +179,31 @@ def pair_factor_integral(l: float, eps: float) -> float:
 # product integral
 
 def _breakpoints(lengths: np.ndarray, eps: float) -> np.ndarray:
-    """Sorted distinct elements of {l_k : l_k < eps} + {0, eps}, merged at 1e-15."""
+    """Sorted distinct elements of {l_k : l_k < eps} + {0, eps}, merged at 1e-15.
+
+    The ends 0 and eps are always kept, so even a window narrower than
+    the merge tolerance is one segment.
+    """
     inner = np.unique(lengths[lengths < eps]) if lengths.size else np.empty(0)
     pts = np.concatenate(([0.0], inner, [eps]))
     kept = [0.0]
     for p in pts[1:]:
         if p - kept[-1] > BREAKPOINT_MERGE_TOL:
             kept.append(float(p))
-    if kept[-1] != eps:
-        kept[-1] = eps
+    if len(kept) == 1:
+        kept.append(eps)
+    kept[-1] = eps
     return np.asarray(kept)
 
 
 def _log_integrand(lengths: np.ndarray, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log prod_k f_{l_k}(x) at the ascending points ``x``, in cache-sized chunks.
 
-    ``flat[j]`` is the sum of the constants log1p(-(l/(1 - l))**2) over
-    the j smallest lengths, so a chunk evaluates only the d factors with
-    l_k > its first point, as log1p((l - l**2 - min(l, x)) / (1 - l)**2);
-    the min turns a factor that goes flat inside the chunk into its
-    constant.
+    ``flat[j]`` is the compensated sum of the constants
+    log1p(-(l/(1 - l))**2) over the j smallest lengths, so a chunk
+    evaluates only the d factors with l_k > its first point, as
+    log1p((l - l**2 - min(l, x)) / (1 - l)**2); the min turns a factor
+    that goes flat inside the chunk into its constant.
     """
     n = lengths.size
     ascending = lengths[::-1]
@@ -251,7 +259,7 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
     ascending = lengths[::-1]
     small = ascending[:np.count_nonzero(lengths <= eps)]
-    flat = np.concatenate(([0.0], kahan_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
+    flat = np.concatenate(([0.0], compensated_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
 
     pts = _breakpoints(lengths, eps)
     lo, width = pts[:-1], np.diff(pts)
@@ -354,7 +362,8 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     log_c = (1.0 - m) * math.log(eps) + math.fsum(
         math.log(pair_factor_integral(v, eps)) for v in lengths[:m]
     )
-    g_log_sum = math.fsum(_log_growth(eps, lengths[m:]).tolist()) if lengths.size > m else 0.0
+    # fsum reads the array directly: a list of 10^6 floats would add 32 MB.
+    g_log_sum = math.fsum(_log_growth(eps, lengths[m:]))
     return LowerBoundCertificate(m=m, log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
 
 
@@ -401,7 +410,8 @@ def divergence_table(
 def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
     """Partial sums S_N of sum_n n**(-2) * exp(l_1 + ... + l_n).
 
-    Length prefixes are accumulated with Kahan compensation and the
+    Length prefixes are accumulated with the cumulative form of Sum2
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005) and the
     series itself with log-sum-exp, so the slow sum(l_k**2)-driven
     growth is not lost to roundoff over as many as 1e6 terms.  The
     plain-scale partial sums overflow to inf where exp does; the log
@@ -410,7 +420,7 @@ def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     lengths = generate(seq, N)
-    prefix = kahan_cumsum(lengths)
+    prefix = compensated_cumsum(lengths)
     idx = np.arange(1, N + 1, dtype=np.float64)
     log_terms = prefix - 2.0 * np.log(idx)
     log_sums = np.logaddexp.accumulate(log_terms)

@@ -32,7 +32,16 @@ GOLDEN_CASES = {
                       "--seed", "42", "--format", "json"],
     "pair_probe.csv": ["pair-probe", "--seq", "harmonic:c=0.2,cap=0.3", "--n", "3", "--t", "0.15",
                        "--reps", "1000", "--seed", "11", "--format", "csv"],
+    # value overflows: inf in CSV, null in JSON
+    "integrate_overflow.csv": ["integrate", "--seq", "constant:c=0.45", "--eps", "0.05",
+                               "--n", "1500", "--format", "csv"],
 }
+# Each case in the other format as well, so both renderers are pinned.
+GOLDEN_CASES.update({
+    name.rsplit(".", 1)[0] + (".json" if name.endswith(".csv") else ".csv"):
+        argv[:-1] + ["json" if name.endswith(".csv") else "csv"]
+    for name, argv in list(GOLDEN_CASES.items())
+})
 
 
 def run_cli(argv, capsys) -> str:
@@ -240,6 +249,18 @@ class TestExitCodes:
             main(["simulate", "--seq", "constant:c=0.5", "--n", "2", "--reps", "5", "--seed", "1",
                   "--threads", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("checkpoints", ["5,3", "3,3", "-2,2"],
+                             ids=["past-n", "duplicate", "negative"])
+    def test_bad_criterion_checkpoints_are_two(self, checkpoints, capsys):
+        status = main(["criterion", "--seq", "harmonic:c=2", "--n", "4",
+                       f"--checkpoints={checkpoints}"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "checkpoints" in captured.err
 
     def test_environment_seed_not_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCCOVER_SEED", "123")

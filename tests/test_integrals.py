@@ -1,12 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover._accum import gauss_legendre, log_sum_exp
+from arccover._accum import compensated_cumsum, gauss_legendre, log_sum_exp
 from arccover.integrals import (
     chebyshev_lower_bound,
     criterion_partial_sums,
@@ -181,6 +182,27 @@ class TestLogSumExp:
             assert log_sum_exp(log_terms, weights) == float(special.logsumexp(log_terms, b=weights))
 
 
+class TestCompensatedCumsum:
+    @pytest.mark.parametrize("n", [10, 10**3, 10**5])
+    def test_correctly_rounded_against_exact_prefix(self, n):
+        values = generate(LengthSequence.harmonic(c=2, cap=0.99), n)
+        prefix = compensated_cumsum(values)
+        sampled = set(np.linspace(0, n - 1, 500).astype(int).tolist())
+        exact = Fraction(0)
+        for i, v in enumerate(values.tolist()):
+            exact += Fraction(v)
+            if i in sampled:
+                assert prefix[i] == float(exact), i
+
+    def test_cumsum_adds_in_sequence(self):
+        # Sum2 takes the error of p[i-1] + x[i], so np.cumsum must add in
+        # that order: summed in sequence each tiny term is lost against 1,
+        # while a pairwise sum would keep them.
+        values = [1.0] + [2.0**-53] * 1000
+        assert np.cumsum(values)[-1] == 1.0
+        assert compensated_cumsum(values)[-1] == 1.0 + 1000 * 2.0**-53
+
+
 class TestProductIntegral:
     def test_single_factor_reduces(self):
         result = product_integral([0.2], 0.3)
@@ -262,6 +284,19 @@ class TestProductIntegral:
             a, b = 1 - mpmath.mpf(l), 1 - mpmath.mpf(l) - mpmath.mpf(eps)
             oracle = float(mpmath.log((a ** (n + 1) - b ** (n + 1)) / ((n + 1) * a ** (2 * n))))
         assert abs(result.log_value - oracle) <= 1e-11
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("eps", [1e-16, 1e-15, 2e-15])
+    def test_window_below_merge_tolerance(self, eps, n):
+        # eps at or below the 1e-15 breakpoint merge tolerance is one
+        # segment [0, eps].  Every factor is linear there (l >= eps), so
+        # I_n = (1-l)**(n+1) * (1 - (1 - eps/(1-l))**(n+1)) / ((n+1)(1-l)**(2n)).
+        l = 0.1
+        result = product_integral([l] * n, eps)
+        a = 1.0 - l
+        expected = -math.expm1((n + 1) * math.log1p(-eps / a)) * a ** (n + 1) / ((n + 1) * a ** (2 * n))
+        assert result.segment_count == 1
+        assert result.value == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("l, eps", [(0.98, 0.019), (0.95, 0.045)])
     def test_roots_near_window_keep_roundoff(self, l, eps):
