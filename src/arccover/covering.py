@@ -2,14 +2,23 @@
 
 Arcs are half-open: an arc at position u with length l covers x iff
 (x - u) mod 1 < l.  Ties therefore have measure zero and every coverage
-decision is deterministic.  The uncovered set is maintained
-incrementally as a sorted list of disjoint half-open intervals inside
-[0, 1) (a gap crossing zero is stored as two pieces), which gives the
-exact first covering toss at amortized constant list work per arc.
+decision is deterministic.
 
-Reproducibility contract: every replication draws from its own
-counter-based Philox stream keyed by (master seed, replication index),
-so results do not depend on the order in which replications run.
+Two models of the uncovered set give the same coverage decisions:
+
+* the incremental one keeps a sorted list of disjoint half-open gaps
+  inside [0, 1) (a gap crossing zero is stored as two pieces) and
+  subtracts one arc at a time (``apply_arc``, ``first_cover_index``);
+* the batched one sorts each replication's arc pieces by start and
+  sweeps the running maximum of their ends (``coverage_probability``,
+  ``gap_measure_samples``).  It sweeps prefixes of growing length and
+  drops a replication as soon as a prefix covers the circle.
+
+Reproducibility contract: replication r with master seed s draws its
+centres from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``, so
+results do not depend on the order in which replications run.  The
+batched model computes those streams for many replications at once with
+the numpy kernel in :mod:`arccover._philox`.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._philox import check_seed, uniforms
 from .sequences import LengthSequence, generate
 
 
@@ -143,11 +153,6 @@ def apply_arc(state: GapSet, arc: Arc) -> GapSet:
     return GapSet(gaps=tuple(work), total_gap=total)
 
 
-def _replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based substream for one replication, keyed by (seed, index)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
-
-
 def _first_cover(lengths, centers) -> int | None:
     gaps: list[tuple[float, float]] = [(0.0, 1.0)]
     for i in range(len(lengths)):
@@ -167,15 +172,87 @@ def first_cover_given(arcs) -> int | None:
 def first_cover_index(seq: LengthSequence, seed: int, n_max: int) -> int | None:
     """First-cover toss count for one replication, or None within n_max tosses.
 
-    Deterministic in (seq, seed, n_max); the centers come from the
-    replication's own Philox stream, drawn up front so the answer for a
+    Deterministic in (seq, seed, n_max); the centers come from
+    replication 0's Philox stream, drawn up front so the answer for a
     smaller n_max is always a prefix-consistent truncation.
     """
+    seed = check_seed(seed)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     lengths = generate(seq, n_max)
-    centers = _replication_rng(seed, 0).random(n_max)
+    centers = uniforms(seed, [0], 0, n_max)[0]
     return _first_cover(lengths.tolist(), centers.tolist())
+
+
+# ---------------------------------------------------------------------------
+# sort-and-sweep over many replications
+
+# Pieces (replications x arcs) held at once; bounds the sweep's arrays
+# and the stream kernel's temporaries to a few MiB each.
+_SWEEP_BUDGET = 1 << 18
+# The first prefix swept; each later one is _PREFIX_GROWTH times longer,
+# until a prefix would reach n / _PREFIX_GROWTH and the sweep takes all n
+# arcs instead.  Re-sorting the prefixes is the price of stopping early;
+# this schedule keeps it under a third of one full sweep.
+_FIRST_PREFIX = 64
+_PREFIX_GROWTH = 4
+
+
+def _uncovered_measure(centers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Uncovered measure of each row's arcs; exactly 0.0 iff the row covers the circle.
+
+    Each arc enters as the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))``
+    and, on wrap, ``[0, u+l-1)``.  All wrapped pieces start at 0, so they
+    join into one ``[0, reach0)`` with ``reach0 = max(u+l) - 1`` (exact,
+    as ``u+l`` lies in [1, 2)).  Sorted by start, piece i leaves the gap
+    ``[reach, start_i)`` when it starts past the running maximum of the
+    ends before it; the last reach leaves ``[reach, 1)``.  Ends are not
+    clipped to 1: once the reach passes 1 no start (all < 1) can pass it.
+    Only comparisons decide whether a gap is empty, so the covered flag
+    is the gap list's flag; a positive gap makes the sum positive.
+    """
+    hi = centers + lengths
+    reach0 = np.maximum(hi.max(axis=1) - 1.0, 0.0)
+    order = np.argsort(centers, axis=1)
+    starts = np.take_along_axis(centers, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    np.maximum(reach, reach0[:, None], out=reach)
+    gaps = np.maximum(starts[:, 0] - reach0, 0.0)
+    gaps += np.maximum(starts[:, 1:] - reach[:, :-1], 0.0).sum(axis=1)
+    gaps += np.maximum(1.0 - reach[:, -1], 0.0)
+    return gaps
+
+
+def _sweep(lengths: np.ndarray, reps: int, seed: int):
+    """Yield (replication indices, uncovered measures) until every replication is done.
+
+    A replication is done when a prefix of its arcs covers the circle
+    (measure 0.0: more arcs cannot uncover it) or when all its arcs have
+    been swept.  Prefix sweeps draw only the stream columns they add.
+    """
+    n = lengths.size
+    rows = max(1, _SWEEP_BUDGET // n)
+    for first in range(0, reps, rows):
+        active = np.arange(first, min(reps, first + rows))
+        centers = np.empty((active.size, 0))
+        m = 0
+        while active.size:
+            grown = max(_FIRST_PREFIX, _PREFIX_GROWTH * m)
+            grown = n if _PREFIX_GROWTH * grown >= n else grown
+            centers = np.concatenate((centers, uniforms(seed, active, m, grown)), axis=1)
+            m = grown
+            measure = _uncovered_measure(centers, lengths[:m])
+            done = (measure == 0.0) | (m == n)
+            yield active[done], measure[done]
+            active, centers = active[~done], centers[~done]
+
+
+def _check_run_args(n: int, reps: int, seed: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    return check_seed(seed)
 
 
 def coverage_probability(seq: LengthSequence, n: int, reps: int, seed: int) -> SimulationResult:
@@ -184,41 +261,23 @@ def coverage_probability(seq: LengthSequence, n: int, reps: int, seed: int) -> S
     Each replication owns its RNG substream and contributes one flag to
     a count, so the result does not depend on the order of replications.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    lengths = generate(seq, n).tolist()
-    covered = 0
-    for index in range(reps):
-        centers = _replication_rng(seed, index).random(n).tolist()
-        covered += _first_cover(lengths, centers) is not None
+    seed = _check_run_args(n, reps, seed)
+    sweep = _sweep(generate(seq, n), reps, seed)
+    covered = sum(int(np.count_nonzero(measure == 0.0)) for _, measure in sweep)
     return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=n, covered_count=covered)
 
 
 def gap_measure_samples(seq: LengthSequence, n: int, reps: int, seed: int) -> np.ndarray:
-    """total_gap after n arcs, one sample per replication.
+    """Uncovered measure after n arcs, one sample per replication.
 
     The sample mean estimates prod_k (1 - l_k), the exact expectation of
-    the uncovered measure.
+    the uncovered measure.  Each sample is the float64 sum of its gaps'
+    lengths, and exactly 0.0 for a covered circle.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    lengths = generate(seq, n).tolist()
+    seed = _check_run_args(n, reps, seed)
     out = np.empty(reps, dtype=np.float64)
-    for index in range(reps):
-        centers = _replication_rng(seed, index).random(n).tolist()
-        gaps: list[tuple[float, float]] = [(0.0, 1.0)]
-        total = 1.0
-        for i in range(n):
-            for a, b in _arc_pieces(centers[i], lengths[i]):
-                total -= _subtract(gaps, a, b)
-            if not gaps:
-                total = 0.0
-                break
-        out[index] = total
+    for index, measure in _sweep(generate(seq, n), reps, seed):
+        out[index] = measure
     return out
 
 
@@ -263,21 +322,26 @@ def pair_uncovered_mc(lengths, t: float, reps: int, seed: int) -> SimulationResu
 
     Vectorized over replications from a single counter-based Philox
     stream (there is no parallel execution to split across);
-    deterministic in seed.
+    deterministic in seed.  Arc k at u misses x iff (x - u) mod 1 >= l_k;
+    the mod is taken by hand, with the same roundings as numpy's float
+    ``%``: for x = 0 it is 1 - u unless u == 0, and for x = t it is
+    t - u, plus 1 when negative.
     """
     arr, t = _check_pair_args(lengths, t)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    seed = check_seed(seed)
     n = int(arr.size)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     count = 0
-    chunk = max(1, (1 << 22) // max(n, 1))
+    chunk = max(1, (1 << 20) // max(n, 1))
     remaining = reps
     while remaining > 0:
         rows = min(chunk, remaining)
         centers = rng.random((rows, n))
-        miss_zero = (0.0 - centers) % 1.0 >= arr
-        miss_t = (t - centers) % 1.0 >= arr
-        count += int(np.logical_and(miss_zero, miss_t).all(axis=1).sum())
+        to_t = t - centers
+        np.add(to_t, 1.0, out=to_t, where=to_t < 0.0)
+        miss = (to_t >= arr) & (centers > 0.0) & (1.0 - centers >= arr)
+        count += int(np.count_nonzero(miss.all(axis=1)))
         remaining -= rows
     return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=n, covered_count=count)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from arccover._accum import segmented_gauss_legendre
 from arccover.chebyshev import check_inequality, random_monotone_family
 from arccover.covering import coverage_probability, gap_measure_samples, pair_uncovered_exact, pair_uncovered_mc
 from arccover.integrals import (
@@ -227,3 +228,29 @@ def test_criterion_8_cli_determinism():
         details.append(f"{argv[0]}:{'ok' if same else 'MISMATCH'}")
     report(8, "CLI determinism", all_ok, " ".join(details))
     assert all_ok
+
+
+def test_criterion_9_second_moment_identity():
+    """Mean of U^2 over 2e4 replications within 4 standard errors of
+    2 * int_0^{1/2} pair_uncovered_exact(l, d) dd, for lengths all below 1/2.
+
+    U is the uncovered measure after the arcs; E[U^2] is the chance that
+    two uniform points both stay uncovered, and by rotation invariance
+    that is the pair probability integrated over their distance d.  For
+    d <= 1/2 the integrand is a polynomial of degree <= n in d between
+    consecutive lengths, so a Gauss-Legendre rule of n // 2 + 1 nodes on
+    each of those segments integrates it exactly."""
+    seq = LengthSequence.harmonic(c=0.4, cap=0.45)
+    n, reps = 10, 2 * 10**4
+    lengths = generate(seq, n)
+    breakpoints = np.unique(np.concatenate(([0.0, 0.5], lengths)))
+    nodes, weights = segmented_gauss_legendre(breakpoints, n // 2 + 1)
+    target = 2.0 * math.fsum(w * pair_uncovered_exact(lengths, d) for d, w in zip(nodes, weights))
+    squares = gap_measure_samples(seq, n, reps, 2024) ** 2
+    se = float(squares.std(ddof=1)) / math.sqrt(reps)
+    deviation = abs(float(squares.mean()) - target)
+    ok = se > 0.0 and deviation < 4.0 * se
+    report(9, "second-moment identity", ok,
+           f"mean U^2 {squares.mean():.5f} vs {target:.5f}, |dev|/se {deviation / se if se else math.inf:.2f}")
+    assert se > 0.0
+    assert deviation < 4.0 * se

@@ -105,6 +105,17 @@ def test_module_entry_point(tmp_path):
     assert a.stdout == (GOLDEN_DIR / "criterion.csv").read_text()
 
 
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     code = ("import arccover.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -261,6 +272,19 @@ class TestExitCodes:
         assert captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
         assert "checkpoints" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seq", "constant:c=0.5", "--n", "2", "--reps", "5", "--seed", "-1"],
+        ["pair-probe", "--seq", "constant:c=0.2", "--n", "2", "--t", "0.1", "--reps", "5",
+         "--seed", "-3"],
+    ], ids=["simulate", "pair-probe"])
+    def test_negative_seed_is_two(self, argv, capsys):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be a non-negative integer")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_environment_seed_not_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCCOVER_SEED", "123")

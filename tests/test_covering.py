@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arccover._philox import uniforms
 from arccover.covering import (
     Arc,
     GapSet,
+    _first_cover,
+    _subtract,
+    _arc_pieces,
+    _uncovered_measure,
     apply_arc,
     coverage_probability,
     first_cover_given,
@@ -14,7 +21,7 @@ from arccover.covering import (
     pair_uncovered_exact,
     pair_uncovered_mc,
 )
-from arccover.sequences import LengthSequence
+from arccover.sequences import LengthSequence, generate
 
 from conftest import uncovered_fraction_grid
 
@@ -218,3 +225,80 @@ class TestGapMeasure:
         a = gap_measure_samples(seq, 10, 100, 3)
         b = gap_measure_samples(seq, 10, 100, 3)
         np.testing.assert_array_equal(a, b)
+
+
+def numpy_stream(seed: int, r: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+
+
+def gap_list_after(centers, lengths) -> list[tuple[float, float]]:
+    gaps = [(0.0, 1.0)]
+    for u, l in zip(centers, lengths):
+        for a, b in _arc_pieces(u, l):
+            _subtract(gaps, a, b)
+    return gaps
+
+
+unit_centers = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+unit_lengths = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+random_arcs = st.lists(st.tuples(unit_centers, unit_lengths), min_size=1, max_size=30)
+# Sixteenths: pieces that end exactly where another starts.
+dyadic_arcs = st.lists(st.tuples(st.integers(0, 15).map(lambda i: i / 16),
+                                 st.integers(1, 15).map(lambda j: j / 16)), min_size=1, max_size=20)
+
+
+@st.composite
+def arcs_ending_at_one(draw):
+    """Arcs whose u + l lands on, or one rounding step either side of, 1.0."""
+    arcs = []
+    for _ in range(draw(st.integers(1, 12))):
+        u = draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+        l = np.nextafter(1.0 - u, draw(st.sampled_from([0.0, 1.0]))) if draw(st.booleans()) else 1.0 - u
+        if 0.0 < l < 1.0:
+            arcs.append((u, float(l)))
+    arcs += draw(st.lists(st.tuples(unit_centers, unit_lengths), max_size=6))
+    return arcs or [(0.5, 0.5)]
+
+
+class TestSortAndSweep:
+    @given(st.one_of(random_arcs, dyadic_arcs, arcs_ending_at_one()))
+    @settings(max_examples=600, deadline=None)
+    def test_flag_and_measure_match_gap_list(self, arcs):
+        centers, lengths = (np.array(v) for v in zip(*arcs))
+        measure = _uncovered_measure(centers[None, :], lengths)[0]
+        covered = _first_cover(lengths.tolist(), centers.tolist()) is not None
+        assert (measure == 0.0) == covered
+        gaps = gap_list_after(centers.tolist(), lengths.tolist())
+        assert measure == pytest.approx(math.fsum(b - a for a, b in gaps), abs=1e-16 * (len(gaps) + 1))
+
+    def test_prefix_early_exit_matches_full_sweep(self):
+        # c = 0.7, n = 3000: replications first cover within 64 arcs, within
+        # 256, later, and never, and 120 replications make two batches.
+        seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 3000, 120, 5
+        full = _uncovered_measure(uniforms(seed, np.arange(reps), 0, n), generate(seq, n))
+        result = coverage_probability(seq, n, reps, seed)
+        assert result.covered_count == np.count_nonzero(full == 0.0)
+        assert 0 < result.covered_count < reps
+        np.testing.assert_array_equal(gap_measure_samples(seq, n, reps, seed), full)
+
+    def test_matches_gap_list_on_numpy_streams(self):
+        seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 400, 80, 2**33 + 1
+        lengths = generate(seq, n).tolist()
+        streams = [numpy_stream(seed, r).random(n).tolist() for r in range(reps)]
+        covered = sum(_first_cover(lengths, centers) is not None for centers in streams)
+        assert coverage_probability(seq, n, reps, seed).covered_count == covered
+        totals = [math.fsum(b - a for a, b in gap_list_after(centers, lengths)) for centers in streams]
+        np.testing.assert_allclose(gap_measure_samples(seq, n, reps, seed), totals, rtol=0, atol=1e-14)
+        assert first_cover_index(seq, seed, n) == _first_cover(lengths, streams[0])
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: coverage_probability(LengthSequence.constant(0.5), 3, 5, -1),
+        lambda: gap_measure_samples(LengthSequence.constant(0.5), 3, 5, -1),
+        lambda: first_cover_index(LengthSequence.constant(0.5), -2, 3),
+        lambda: pair_uncovered_mc([0.2], 0.3, 5, -3),
+    ], ids=["coverage", "gap-measure", "first-cover", "pair"])
+    def test_negative_seed_names_seed(self, call):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            call()
