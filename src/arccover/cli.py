@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import chebyshev, covering, integrals
+from ._philox import check_seed
 from .sequences import generate, parse_sequence_spec
 
 # Per-trial draw ranges of the inequality-check command.
@@ -170,7 +171,7 @@ def _run_criterion(config: RunConfig) -> dict:
 
 
 def _run_inequality_check(config: RunConfig) -> dict:
-    master = np.random.default_rng(config.seed)
+    master = np.random.default_rng(check_seed(config.seed))
     sizes, results = [], []
     for _ in range(config.trials):
         n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))

@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and the subprocess environment for the test suite.
 
 These helpers deliberately avoid the library code paths they are used
 to check: plain midpoint Riemann sums, brute-force grids and
@@ -7,8 +7,12 @@ high-precision mpmath integrals only.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import arccover
 from arccover.chebyshev import MonotonePiecewiseLinear
 from arccover.integrals import pair_factor_eval
 
@@ -68,3 +72,13 @@ def uncovered_fraction_grid(lengths, points, grid: int = 200_000) -> float:
     for x in points:
         ok &= (x - centers) % 1.0 >= l
     return float(ok.mean())
+
+
+def subprocess_env() -> dict:
+    # A subprocess may run from an unrelated directory, where a relative
+    # PYTHONPATH (such as "src") would not resolve, so put the package's
+    # absolute source directory first.
+    src_dir = str(Path(arccover.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env

@@ -27,7 +27,7 @@ from arccover.integrals import (
 )
 from arccover.sequences import LengthSequence, generate
 
-from conftest import midpoint_riemann
+from conftest import midpoint_riemann, subprocess_env
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -221,8 +221,8 @@ def test_criterion_8_cli_determinism():
     details = []
     for argv in CLI_COMMANDS:
         cmd = [sys.executable, "-m", "arccover"] + argv
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=subprocess_env())
+        b = subprocess.run(cmd, capture_output=True, env=subprocess_env())
         same = a.returncode == b.returncode == 0 and a.stdout == b.stdout
         all_ok &= same
         details.append(f"{argv[0]}:{'ok' if same else 'MISMATCH'}")

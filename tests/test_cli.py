@@ -1,17 +1,15 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import arccover
 from arccover import chebyshev
 from arccover.cli import main
 from arccover.sequences import generate, parse_sequence_spec
 
-from conftest import mp_log_product_integral
+from conftest import mp_log_product_integral, subprocess_env
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -83,16 +81,6 @@ def test_explicit_file_sequence_deterministic(tmp_path, capsys):
     argv = ["simulate", "--seq", f"explicit:file={path}", "--n", "3", "--reps", "50",
             "--seed", "42"]
     assert run_cli(argv, capsys) == run_cli(argv, capsys)
-
-
-def subprocess_env() -> dict:
-    # A subprocess may run from an unrelated directory, where a relative
-    # PYTHONPATH (such as "src") would not resolve, so put the package's
-    # absolute source directory first.
-    src_dir = str(Path(arccover.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_module_entry_point(tmp_path):
@@ -277,7 +265,8 @@ class TestExitCodes:
         ["simulate", "--seq", "constant:c=0.5", "--n", "2", "--reps", "5", "--seed", "-1"],
         ["pair-probe", "--seq", "constant:c=0.2", "--n", "2", "--t", "0.1", "--reps", "5",
          "--seed", "-3"],
-    ], ids=["simulate", "pair-probe"])
+        ["inequality-check", "--trials", "2", "--seed", "-1"],
+    ], ids=["simulate", "pair-probe", "inequality-check"])
     def test_negative_seed_is_two(self, argv, capsys):
         status = main(argv)
         captured = capsys.readouterr()

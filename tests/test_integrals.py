@@ -140,8 +140,9 @@ def mp_gauss_legendre(mpmath, order: int, dps: int = 50):
 
 
 class TestGaussLegendre:
-    # Every order the CLI goldens use (1, 2, 3, 5, 6, 13) lies in 1..64.
-    @pytest.mark.parametrize("order", list(range(1, 65)) + [101, 201])
+    # Every order the CLI goldens use (1, 2, 3, 5, 6, 12) lies in 1..64;
+    # 251 is the order the degree-exact oracle builds at n = 500.
+    @pytest.mark.parametrize("order", list(range(1, 65)) + [101, 201, 251])
     def test_correctly_rounded_against_mpmath(self, order):
         mpmath = pytest.importorskip("mpmath")
         x, w = gauss_legendre(order)
