@@ -14,11 +14,6 @@ import numpy as np
 _GL_CONTEXT = decimal.Context(prec=40)
 _GL_TOLERANCE = decimal.Decimal("1e-30")
 
-# compensated_cumsum forms its TwoSum errors this many at a time, so that
-# _two_sum's five temporaries stay small next to the prefix: formed over
-# all 10^6 terms at once they raised the tables workload's peak RSS.
-_SUM2_BLOCK = 1 << 16
-
 
 def compensated_cumsum(values) -> np.ndarray:
     """Running sums of ``values``, each as if summed in twice the working precision.
@@ -26,20 +21,21 @@ def compensated_cumsum(values) -> np.ndarray:
     The cumulative form of Sum2 (Ogita, Rump & Oishi, "Accurate sum and
     dot product", SIAM J. Sci. Comput. 26(6), 2005): a plain float64
     cumsum ``p``, plus the running sum of the exact error of each of its
-    additions, TwoSum(p[i-1], x[i]).  A plain cumsum loses the
-    slowly-shrinking tail of a long series (here, million-term length
-    sums whose increments decay like 1/k); the compensated prefixes stay
-    accurate to about an ulp independent of length.  This relies on
-    ``np.cumsum`` adding in sequence, which the tests check.
+    additions.  ``np.cumsum`` adds in sequence (the tests check this), so
+    ``p[i]`` is fl(p[i-1] + x[i]) and TwoSum's error is read off it:
+    ``(p[i-1] - (p[i] - bv)) + (x[i] - bv)`` with ``bv = p[i] - p[i-1]``.
+    A plain cumsum loses the slowly-shrinking tail of a long series
+    (here, million-term length sums whose increments decay like 1/k);
+    the compensated prefixes stay accurate to about an ulp.
     """
     x = np.asarray(values, dtype=np.float64)
     p = np.cumsum(x)
-    a, b = p[:-1], x[1:]
-    err = np.empty_like(b)
-    for start in range(0, b.size, _SUM2_BLOCK):
-        block = slice(start, start + _SUM2_BLOCK)
-        err[block] = _two_sum(a[block], b[block])[1]
-    p[1:] += np.cumsum(err)
+    bv = p[1:] - p[:-1]
+    err = p[1:] - bv
+    np.subtract(p[:-1], err, out=err)
+    np.subtract(x[1:], bv, out=bv)
+    err += bv
+    p[1:] += np.cumsum(err, out=err)
     return p
 
 
@@ -60,13 +56,6 @@ def log_sum_exp(log_terms: np.ndarray, weights: np.ndarray) -> float:
     m = np.sum(weights * at_top)
     s = np.sum(weights * np.exp(np.where(at_top, -np.inf, log_terms - top))) / m
     return float(np.log1p(s) + np.log(m) + top)
-
-
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e == a + b exactly (Knuth)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
 
 
 def _legendre_pair(n: int, x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:

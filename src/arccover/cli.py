@@ -46,7 +46,7 @@ class RunConfig:
     seed: int | None = None
     t: float | None = None
     trials: int | None = None
-    quadrature_cap: int = 2000
+    quadrature_cap: int = integrals.DEFAULT_QUADRATURE_CAP
     format: str = "json"
     out: str | None = None
 
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--checkpoints", type=_checkpoint_list, required=True)
-    p.add_argument("--quadrature-cap", type=int, default=2000, dest="quadrature_cap")
+    p.add_argument("--quadrature-cap", type=int, dest="quadrature_cap")
 
     p = add("criterion", "partial sums of the covering criterion series")
     p.add_argument("--seq", required=True)

@@ -223,8 +223,8 @@ def _uncovered_measure(centers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def _sweep(lengths: np.ndarray, reps: int, seed: int):
-    """Yield (replication indices, uncovered measures) until every replication is done.
+def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
+    """Uncovered measure of each replication after all its arcs, as a (reps,) array.
 
     A replication is done when a prefix of its arcs covers the circle
     (measure 0.0: more arcs cannot uncover it) or when all its arcs have
@@ -232,6 +232,7 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int):
     """
     n = lengths.size
     rows = max(1, _SWEEP_BUDGET // n)
+    out = np.empty(reps, dtype=np.float64)
     for first in range(0, reps, rows):
         active = np.arange(first, min(reps, first + rows))
         centers = np.empty((active.size, 0))
@@ -243,8 +244,9 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int):
             m = grown
             measure = _uncovered_measure(centers, lengths[:m])
             done = (measure == 0.0) | (m == n)
-            yield active[done], measure[done]
+            out[active[done]] = measure[done]
             active, centers = active[~done], centers[~done]
+    return out
 
 
 def _check_run_args(n: int, reps: int, seed: int) -> int:
@@ -262,8 +264,7 @@ def coverage_probability(seq: LengthSequence, n: int, reps: int, seed: int) -> S
     a count, so the result does not depend on the order of replications.
     """
     seed = _check_run_args(n, reps, seed)
-    sweep = _sweep(generate(seq, n), reps, seed)
-    covered = sum(int(np.count_nonzero(measure == 0.0)) for _, measure in sweep)
+    covered = int(np.count_nonzero(_sweep(generate(seq, n), reps, seed) == 0.0))
     return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=n, covered_count=covered)
 
 
@@ -275,10 +276,7 @@ def gap_measure_samples(seq: LengthSequence, n: int, reps: int, seed: int) -> np
     lengths, and exactly 0.0 for a covered circle.
     """
     seed = _check_run_args(n, reps, seed)
-    out = np.empty(reps, dtype=np.float64)
-    for index, measure in _sweep(generate(seq, n), reps, seed):
-        out[index] = measure
-    return out
+    return _sweep(generate(seq, n), reps, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ squared single-point avoidance probability.  This module evaluates
 
 * the closed-form integral of one factor over [0, eps],
 * the product integral  I_n = integral_0^eps  prod_k f_{l_k}(t) dt
-  to roundoff by piecewise Gauss-Legendre quadrature: exact up to
-  degree 23, and a 12-node rule on short pieces above it, O(n) points
-  of O(n) work each,
+  to roundoff by Gauss-Legendre quadrature between the distinct lengths
+  below eps: exact up to degree 23, and a 12-node rule on short pieces
+  above it, O(n) points of O(n) work each,
 * the Chebyshev-route lower bound  eps**(1-n) * prod_k integral(f_{l_k})
   and its certificate decomposition through the growth function
 
@@ -40,10 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import compensated_cumsum, log_sum_exp, segmented_gauss_legendre
-from .sequences import LengthSequence, as_lengths, epsilon_window, generate
-
-# Breakpoints closer than this are merged into one quadrature segment.
-BREAKPOINT_MERGE_TOL = 1e-15
+from .sequences import LengthSequence, as_lengths, check_window, epsilon_window, generate
 
 # Points-times-factors evaluations are chunked to bound peak memory; a
 # 512 KiB block also stays in cache through the five passes over it.
@@ -52,6 +49,9 @@ _CHUNK_ELEMENTS = 1 << 16
 # Default cap on Gauss-Legendre nodes per quadrature piece: exact up to
 # degree 23, at roundoff above it on pieces sized by the log-drop.
 _MAX_NODES = 12
+
+# divergence_table's (and --quadrature-cap's) default largest n for quadrature.
+DEFAULT_QUADRATURE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,6 @@ class CriterionSeries:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
-
-def _check_window(lengths: np.ndarray, eps: float) -> float:
-    eps = float(eps)
-    upper = 1.0 - float(lengths[0]) if lengths.size else 1.0
-    if not 0.0 < eps < upper:
-        raise ValueError(f"eps must satisfy 0 < eps < 1 - l1 = {upper}; got {eps}")
-    return eps
-
-
-# ---------------------------------------------------------------------------
 # single factors
 
 def pair_factor_eval(l: float, t: float) -> float:
@@ -179,21 +168,11 @@ def pair_factor_integral(l: float, eps: float) -> float:
 # product integral
 
 def _breakpoints(lengths: np.ndarray, eps: float) -> np.ndarray:
-    """Sorted distinct elements of {l_k : l_k < eps} + {0, eps}, merged at 1e-15.
+    """0, the sorted distinct lengths below eps, and eps.
 
-    The ends 0 and eps are always kept, so even a window narrower than
-    the merge tolerance is one segment.
+    Every segment has positive width, and the integrand is one polynomial on it.
     """
-    inner = np.unique(lengths[lengths < eps]) if lengths.size else np.empty(0)
-    pts = np.concatenate(([0.0], inner, [eps]))
-    kept = [0.0]
-    for p in pts[1:]:
-        if p - kept[-1] > BREAKPOINT_MERGE_TOL:
-            kept.append(float(p))
-    if len(kept) == 1:
-        kept.append(eps)
-    kept[-1] = eps
-    return np.asarray(kept)
+    return np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
 
 
 def _log_integrand(lengths: np.ndarray, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -244,7 +223,7 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     overflows.
     """
     lengths = as_lengths(lengths)
-    eps = _check_window(lengths, eps)
+    eps = check_window(lengths, eps)
     n = int(lengths.size)
     if nodes_per_segment is None:
         nodes = min(math.ceil((n + 1) / 2), _MAX_NODES)
@@ -265,7 +244,7 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     lo, width = pts[:-1], np.diff(pts)
     degree = n - np.searchsorted(ascending, lo, side="right")
     drop = -np.diff(_log_integrand(lengths, flat, pts))
-    # Roundoff can make the drop across a segment of width ~1e-15 read <= 0.
+    # Roundoff can make the drop across a segment a few ulps wide read <= 0.
     pieces = np.where(degree > 2 * nodes - 1, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
     seg = np.repeat(np.arange(lo.size), pieces)
     offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -337,7 +316,7 @@ def chebyshev_lower_bound(lengths, eps: float) -> float:
     Returns eps for empty input, consistent with the empty product.
     """
     lengths = as_lengths(lengths)
-    eps = _check_window(lengths, eps)
+    eps = check_window(lengths, eps)
     n = int(lengths.size)
     if n == 0:
         return eps
@@ -355,7 +334,7 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     log(chebyshev_lower_bound) identically.
     """
     lengths = as_lengths(lengths)
-    eps = _check_window(lengths, eps)
+    eps = check_window(lengths, eps)
     if eps >= 0.5:
         raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")
     m = int(np.count_nonzero(lengths >= eps))
@@ -372,7 +351,7 @@ def divergence_table(
     eps: float,
     checkpoints,
     *,
-    quadrature_cap: int = 2000,
+    quadrature_cap: int = DEFAULT_QUADRATURE_CAP,
 ) -> list[DivergenceRow]:
     """Lower-bound certificates (and exact quadrature where affordable) at checkpoints.
 
@@ -419,10 +398,11 @@ def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    lengths = generate(seq, N)
-    prefix = compensated_cumsum(lengths)
-    idx = np.arange(1, N + 1, dtype=np.float64)
-    log_terms = prefix - 2.0 * np.log(idx)
+    # In place: at N = 10**6 each full-length temporary is 8 MB.
+    log_terms = compensated_cumsum(generate(seq, N))
+    log_n = np.log(np.arange(1, N + 1, dtype=np.float64))
+    log_terms -= np.multiply(2.0, log_n, out=log_n)
+    del log_n
     log_sums = np.logaddexp.accumulate(log_terms)
     with np.errstate(over="ignore"):
         sums = np.exp(log_sums)

@@ -15,7 +15,6 @@ strictness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,7 @@ class LengthSequence:
             raise ValueError(f"scale c must be positive, got {self.c}")
         if not 0.0 < self.cap < 1.0:
             raise ValueError(f"cap must lie in (0, 1), got {self.cap}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
 
     # Convenience constructors -------------------------------------------------
@@ -124,7 +123,7 @@ def generate(seq: LengthSequence, n: int) -> np.ndarray:
 
     Pure and deterministic: calling twice yields identical arrays.  The
     explicit family returns a prefix copy and raises if fewer than ``n``
-    values were supplied.
+    values were supplied.  Raises if a term underflows to 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -142,17 +141,26 @@ def generate(seq: LengthSequence, n: int) -> np.ndarray:
         raw = seq.c / np.sqrt(k)
     else:  # power_decay
         raw = seq.c * k ** (-seq.alpha)
-    return np.minimum(float(seq.cap), raw)
+    lengths = np.minimum(float(seq.cap), raw)
+    if not lengths[-1] > 0.0:  # the smallest term
+        raise ValueError(f"term {n} of {seq.family} is {lengths[-1]}; lengths must be positive")
+    return lengths
+
+
+def check_window(lengths: np.ndarray, eps: float) -> float:
+    """``eps`` as a float, checked to satisfy 0 < eps < 1 - l_1 for nonincreasing ``lengths``."""
+    eps = float(eps)
+    upper = 1.0 - float(lengths[0]) if lengths.size else 1.0
+    if not 0.0 < eps < upper:
+        raise ValueError(f"eps must satisfy 0 < eps < 1 - l1 = {upper}; got {eps}")
+    return eps
 
 
 def epsilon_window(seq: LengthSequence, eps: float) -> EpsilonWindow:
     """Validate 0 < eps < 1 - l_1 and classify the bound path."""
-    l1 = float(generate(seq, 1)[0])
-    upper = 1.0 - l1
-    eps = float(eps)
-    if not 0.0 < eps < upper:
-        raise ValueError(f"eps must satisfy 0 < eps < 1 - l1 = {upper}; got {eps}")
-    return EpsilonWindow(eps=eps, upper=upper, bound_path_ok=eps < 0.5)
+    head = generate(seq, 1)
+    eps = check_window(head, eps)
+    return EpsilonWindow(eps=eps, upper=1.0 - float(head[0]), bound_path_ok=eps < 0.5)
 
 
 def threshold_index(seq: LengthSequence, eps: float, n: int) -> int:
@@ -166,14 +174,13 @@ def threshold_index(seq: LengthSequence, eps: float, n: int) -> int:
     return int(np.count_nonzero(lengths >= eps))
 
 
-def parse_sequence_spec(spec: str, *, base_dir: str | os.PathLike | None = None) -> LengthSequence:
+def parse_sequence_spec(spec: str) -> LengthSequence:
     """Parse a sequence specification string ``family:param=value,...``.
 
     Examples: ``harmonic:c=1,cap=0.99``, ``constant:c=0.3``,
     ``power-decay:c=1,alpha=0.75,cap=0.49``, ``explicit:file=ls.txt``.
     The explicit file holds one decimal per line; commas are also
-    accepted as separators.  Relative paths resolve against ``base_dir``
-    when given.
+    accepted as separators.
     """
     spec = spec.strip()
     if not spec:
@@ -194,8 +201,6 @@ def parse_sequence_spec(spec: str, *, base_dir: str | os.PathLike | None = None)
             raise ValueError("explicit family requires file=PATH")
         if params:
             raise ValueError(f"unknown parameters for explicit family: {sorted(params)}")
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(os.fspath(base_dir), path)
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.read().replace(",", " ").split()
         if not tokens:

@@ -25,6 +25,9 @@ GOLDEN_CASES = {
     "divergence.json": ["divergence", "--seq", "inverse-sqrt:c=1,cap=0.49", "--eps", "0.25",
                         "--checkpoints", "0,5,25", "--format", "json"],
     "criterion.csv": ["criterion", "--seq", "constant:c=0.5", "--n", "5", "--format", "csv"],
+    # The README command: Sum2 over 10^5 length terms.
+    "criterion_readme.csv": ["criterion", "--seq", "harmonic:c=2,cap=0.99", "--n", "100000",
+                             "--checkpoints", "10,1000,100000", "--format", "csv"],
     "inequality_check.csv": ["inequality-check", "--trials", "5", "--seed", "7", "--format", "csv"],
     "simulate.json": ["simulate", "--seq", "harmonic:c=2,cap=0.99", "--n", "50", "--reps", "100",
                       "--seed", "42", "--format", "json"],
@@ -273,6 +276,21 @@ class TestExitCodes:
         assert status == 2
         assert captured.out == ""
         assert captured.err.startswith("error: seed must be a non-negative integer")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("seq", [
+        "power-decay:c=1,alpha=nan", "harmonic:c=5e-324", "power-decay:c=1,alpha=1e300",
+    ], ids=["nan-alpha", "subnormal-c", "huge-alpha"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "10", "--reps", "5", "--seed", "1"],
+        ["criterion", "--n", "3"],
+    ], ids=["simulate", "criterion"])
+    def test_lengths_outside_unit_interval_are_two(self, seq, command, capsys):
+        status = main(command[:1] + ["--seq", seq] + command[1:])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_environment_seed_not_honored(self, capsys, monkeypatch):

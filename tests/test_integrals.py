@@ -195,6 +195,30 @@ class TestCompensatedCumsum:
             if i in sampled:
                 assert prefix[i] == float(exact), i
 
+    @staticmethod
+    def two_sum_prefix(values):
+        # Sum2 step by step: s = fl(s + x), with Knuth's TwoSum error added
+        # to a running float64 correction.
+        values = [float(v) for v in values]
+        s, c, out = values[0], 0.0, [values[0]]
+        for x in values[1:]:
+            t = s + x
+            bv = t - s
+            c += (s - (t - bv)) + (x - bv)
+            s = t
+            out.append(s + c)
+        return np.array(out)
+
+    @pytest.mark.parametrize("sign", ["mixed", "negative"])
+    def test_bit_identical_to_stepwise_two_sum(self, sign):
+        # The flat-factor prefix of product_integral sums negative terms
+        # only; mixed signs make the plain cumsum cancel.
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+        if sign == "negative":
+            values = -np.abs(values)
+        np.testing.assert_array_equal(compensated_cumsum(values), self.two_sum_prefix(values))
+
     def test_cumsum_adds_in_sequence(self):
         # Sum2 takes the error of p[i-1] + x[i], so np.cumsum must add in
         # that order: summed in sequence each tiny term is lost against 1,
@@ -231,6 +255,17 @@ class TestProductIntegral:
             lengths, eps = random_instance(rng)
             result = product_integral(lengths, eps)
             assert result.log_value == pytest.approx(math.log(result.value), abs=1e-12)
+
+    def test_lengths_one_ulp_apart_keep_their_segment(self):
+        # Two lengths one ulp apart bound a segment of its own, so every
+        # segment is a single polynomial; nothing is merged.
+        mpmath = pytest.importorskip("mpmath")
+        hi = 0.2
+        lo = float(np.nextafter(hi, 0.0))
+        lengths, eps = [0.3, hi, lo, 0.1], 0.25
+        result = product_integral(lengths, eps)
+        assert result.segment_count == 4  # {0, 0.1, lo, hi, 0.25}
+        assert abs(result.log_value - mp_log_product_integral(mpmath, lengths, eps)) <= 1e-13
 
     def test_segment_breakpoints(self):
         # distinct lengths below eps each open a segment; ties collapse
@@ -289,8 +324,8 @@ class TestProductIntegral:
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("eps", [1e-16, 1e-15, 2e-15])
     def test_window_below_merge_tolerance(self, eps, n):
-        # eps at or below the 1e-15 breakpoint merge tolerance is one
-        # segment [0, eps].  Every factor is linear there (l >= eps), so
+        # A window far narrower than every length (down to 1e-16) is the
+        # one segment [0, eps].  Every factor is linear there (l >= eps), so
         # I_n = (1-l)**(n+1) * (1 - (1 - eps/(1-l))**(n+1)) / ((n+1)(1-l)**(2n)).
         l = 0.1
         result = product_integral([l] * n, eps)

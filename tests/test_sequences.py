@@ -59,6 +59,18 @@ class TestGenerate:
             LengthSequence.harmonic(c=1.0, cap=1.0)
         with pytest.raises(ValueError, match="family"):
             LengthSequence("geometric")
+        with pytest.raises(ValueError, match="alpha"):
+            LengthSequence.power_decay(c=1.0, alpha=float("nan"))
+
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.harmonic(c=5e-324),
+        LengthSequence.power_decay(c=1.0, alpha=1e300),
+    ], ids=["harmonic-subnormal-c", "power-decay-huge-alpha"])
+    def test_underflow_to_zero_raises(self, seq):
+        # c/k and c*k**-alpha reach 0.0 at k = 2; the first term is still positive.
+        assert generate(seq, 1)[0] > 0.0
+        with pytest.raises(ValueError, match="term 2 .* must be positive"):
+            generate(seq, 2)
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -160,7 +172,7 @@ class TestParseSpec:
     def test_explicit_file_with_commas(self, tmp_path):
         path = tmp_path / "ls.txt"
         path.write_text("0.4, 0.3\n0.1\n")
-        seq = parse_sequence_spec(f"explicit:file={path}", base_dir=tmp_path)
+        seq = parse_sequence_spec(f"explicit:file={path}")
         np.testing.assert_array_equal(generate(seq, 3), [0.4, 0.3, 0.1])
 
     def test_errors(self, tmp_path):
