@@ -11,6 +11,20 @@ ceil((n+1)/2) nodes per merged segment is exact for the degree-n
 product.  The arc-avoidance factors of the covering problem are
 themselves piecewise linear, so this engine reproduces that
 application losslessly.
+
+The engine works on a family as rows: an ``(n, width)`` array of
+breakpoints, one of values, and the number of breakpoints each row
+really has.  A shorter row is padded with eps and its last value; the
+padded pieces have zero width, so they add exact zeros to every sum.
+One evaluator takes these rows for random and user-built families alike,
+and ``inequality-check`` runs its trials on them without building an
+object per function.
+
+A random family draws from ``default_rng(seed)``: eps from U(0.2, 1),
+then, function after function, ``segments`` inner breakpoints
+``eps * random()``, of which tied and out-of-range draws are dropped,
+then one value per kept breakpoint (both ends included), floored at
+VALUE_FLOOR and sorted to match the direction.
 """
 
 from __future__ import annotations
@@ -28,14 +42,40 @@ DIRECTIONS = ("increasing", "decreasing")
 VALUE_FLOOR = 1e-6
 
 
+def _check_rows(breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray, direction: str) -> None:
+    """Raise ValueError unless each row is a positive monotone polyline on [0, eps].
+
+    Row i is its first ``counts[i]`` entries; the rest repeat its last
+    breakpoint and value.
+    """
+    b, v = breakpoints, values
+    if not (np.isfinite(b).all() and np.isfinite(v).all()):
+        raise ValueError("breakpoints and values must be finite")
+    starts = b[:, 0]
+    if (starts != 0.0).any():
+        raise ValueError(f"breakpoints must start at 0, got {starts[starts != 0.0][0]}")
+    live = np.arange(b.shape[1] - 1) < counts[:, None] - 1
+    if ((b[:, 1:] <= b[:, :-1]) & live).any():
+        raise ValueError("breakpoints must be strictly ascending")
+    if (v <= 0.0).any():
+        raise ValueError("values must be strictly positive")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if direction == "increasing" and (v[:, 1:] < v[:, :-1]).any():
+        raise ValueError("values must be nondecreasing for an increasing function")
+    if direction == "decreasing" and (v[:, 1:] > v[:, :-1]).any():
+        raise ValueError("values must be nonincreasing for a decreasing function")
+
+
 @dataclass(frozen=True)
 class MonotonePiecewiseLinear:
     """A positive monotone piecewise-linear function on [0, eps].
 
     ``breakpoints`` must start at 0, end at eps and be strictly
     ascending; ``values`` are the node values (linear in between),
-    strictly positive and ordered consistently with ``direction``
-    (nonstrictly, so constants are legal in either direction).
+    finite, strictly positive and ordered consistently with
+    ``direction`` (nonstrictly, so constants are legal in either
+    direction).
     """
 
     breakpoints: np.ndarray
@@ -47,19 +87,7 @@ class MonotonePiecewiseLinear:
         v = np.asarray(self.values, dtype=np.float64)
         if b.ndim != 1 or v.ndim != 1 or b.size != v.size or b.size < 2:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length >= 2")
-        if b[0] != 0.0:
-            raise ValueError(f"breakpoints must start at 0, got {b[0]}")
-        if np.any(np.diff(b) <= 0.0):
-            raise ValueError("breakpoints must be strictly ascending")
-        if np.any(v <= 0.0):
-            raise ValueError("values must be strictly positive")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        dv = np.diff(v)
-        if self.direction == "increasing" and np.any(dv < 0.0):
-            raise ValueError("values must be nondecreasing for an increasing function")
-        if self.direction == "decreasing" and np.any(dv > 0.0):
-            raise ValueError("values must be nonincreasing for a decreasing function")
+        _check_rows(b[None], v[None], np.array([b.size]), self.direction)
         b.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)
@@ -81,11 +109,46 @@ class InequalityCheck:
     margin: float
 
 
+def _rows(fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A family as padded rows: breakpoints, values and each row's true length."""
+    counts = np.array([f.breakpoints.size for f in fs])
+
+    def padded(a: np.ndarray) -> np.ndarray:
+        return np.pad(a, (0, counts.max() - a.size), mode="edge")
+
+    return np.array([padded(f.breakpoints) for f in fs]), np.array([padded(f.values) for f in fs]), counts
+
+
+def _row_integrals(b: np.ndarray, v: np.ndarray) -> list[float]:
+    """The exact integral of each row (trapezoid, exact for polylines)."""
+    terms = np.diff(b, axis=1) * (0.5 * (v[:, :-1] + v[:, 1:]))
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def _product_integral_rows(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> float:
+    # Exact: the product is polynomial of degree <= n between merged breakpoints.
+    x, w = segmented_gauss_legendre(np.unique(b), math.ceil((len(counts) + 1) / 2))
+    prod = np.ones_like(x)
+    for bi, vi, c in zip(b, v, counts.tolist()):
+        prod *= np.interp(x, bi[:c], vi[:c])
+    return math.fsum((prod * w).tolist())
+
+
+def _evaluate(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Both sides, ``(eps**(n-1) * integral(prod f_k), prod integral(f_k))``, of a family in rows."""
+    eps = float(b[0, -1])
+    lhs = eps ** (len(counts) - 1) * _product_integral_rows(b, v, counts)
+    return lhs, math.prod(_row_integrals(b, v))
+
+
+def _holds(lhs, rhs):
+    """The verdict: lhs may fall below rhs by at most 1e-10 * max(1, rhs)."""
+    return lhs >= rhs - 1e-10 * np.maximum(1.0, rhs)
+
+
 def integral(f: MonotonePiecewiseLinear) -> float:
     """Exact integral of ``f`` over its domain (trapezoid, exact for polylines)."""
-    widths = np.diff(f.breakpoints)
-    avg = 0.5 * (f.values[:-1] + f.values[1:])
-    return math.fsum((widths * avg).tolist())
+    return _row_integrals(f.breakpoints[None], f.values[None])[0]
 
 
 def _shared_domain(fs) -> float:
@@ -95,14 +158,14 @@ def _shared_domain(fs) -> float:
     return end
 
 
-def _merged_product_integral(fs) -> float:
-    # Exact: the product is polynomial of degree <= n between merged breakpoints.
-    pts = np.unique(np.concatenate([f.breakpoints for f in fs]))
-    x, w = segmented_gauss_legendre(pts, math.ceil((len(fs) + 1) / 2))
-    prod = np.ones_like(x)
-    for f in fs:
-        prod *= np.interp(x, f.breakpoints, f.values)
-    return math.fsum((prod * w).tolist())
+def _common_family(fs) -> list[MonotonePiecewiseLinear]:
+    fs = list(fs)
+    if not fs:
+        raise ValueError("need at least one function")
+    if any(f.direction != fs[0].direction for f in fs):
+        raise ValueError("mixed directions: all functions must be increasing or all decreasing")
+    _shared_domain(fs)
+    return fs
 
 
 def product_integral_pl(fs) -> float:
@@ -112,13 +175,7 @@ def product_integral_pl(fs) -> float:
     this engine certifies is only stated for commonly monotone
     families.
     """
-    fs = list(fs)
-    if not fs:
-        raise ValueError("need at least one function")
-    if any(f.direction != fs[0].direction for f in fs):
-        raise ValueError("mixed directions: all functions must be increasing or all decreasing")
-    _shared_domain(fs)
-    return _merged_product_integral(fs)
+    return _product_integral_rows(*_rows(_common_family(fs)))
 
 
 def check_inequality(fs) -> InequalityCheck:
@@ -128,17 +185,8 @@ def check_inequality(fs) -> InequalityCheck:
     most 1e-10 * max(1, rhs), so roundoff cannot raise false alarms
     while genuine violations of any size are caught.
     """
-    fs = list(fs)
-    lhs_integral = product_integral_pl(fs)
-    eps = fs[0].domain_end
-    lhs = eps ** (len(fs) - 1) * lhs_integral
-    rhs = math.prod(integral(f) for f in fs)
-    return InequalityCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs - 1e-10 * max(1.0, rhs),
-        margin=lhs - rhs,
-    )
+    lhs, rhs = _evaluate(*_rows(_common_family(fs)))
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(_holds(lhs, rhs)), margin=lhs - rhs)
 
 
 def two_function_correlation(f: MonotonePiecewiseLinear, g: MonotonePiecewiseLinear) -> float:
@@ -150,9 +198,45 @@ def two_function_correlation(f: MonotonePiecewiseLinear, g: MonotonePiecewiseLin
     values for opposite-direction pairs, witnessing that the common
     monotonicity hypothesis is necessary.
     """
-    _shared_domain([f, g])
-    eps = f.domain_end
-    return 2.0 * eps * _merged_product_integral([f, g]) - 2.0 * integral(f) * integral(g)
+    eps = _shared_domain([f, g])
+    b, v, counts = _rows([f, g])
+    int_f, int_g = _row_integrals(b, v)
+    return 2.0 * eps * _product_integral_rows(b, v, counts) - 2.0 * int_f * int_g
+
+
+def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``random_monotone_family(seed, n, direction, segments)``, width segments + 2."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if segments < 1:
+        raise ValueError(f"segments must be >= 1, got {segments}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    rng = np.random.default_rng(seed)
+    eps = float(rng.uniform(0.2, 1.0))
+    inner = np.empty((n, segments))
+    drawn = np.full((n, segments + 2), np.nan)  # unused slots stay NaN and sort last
+    counts = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        # eps * random() is bit for bit rng.uniform(0, eps).
+        inner[i] = eps * rng.random(segments)
+        counts[i] = kept = 2 + len({x for x in inner[i].tolist() if 0.0 < x < eps})
+        drawn[i, :kept] = rng.random(kept)
+    # Drop ties and out-of-range draws, as np.unique and a range filter would.
+    inner.sort(axis=1)
+    dropped = (inner <= 0.0) | (inner >= eps)
+    dropped[:, 1:] |= inner[:, 1:] == inner[:, :-1]
+    inner[dropped] = eps
+    inner.sort(axis=1)
+    b = np.full_like(drawn, eps)
+    b[:, 0] = 0.0
+    b[:, 1:-1] = inner
+    v = np.maximum(drawn, VALUE_FLOOR)
+    v = np.sort(v, axis=1) if direction == "increasing" else -np.sort(-v, axis=1)
+    # fmax and fmin skip NaN, so each unused slot repeats the row's last value.
+    v = (np.fmax if direction == "increasing" else np.fmin).accumulate(v, axis=1)
+    _check_rows(b, v, counts, direction)
+    return b, v, counts
 
 
 def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> list[MonotonePiecewiseLinear]:
@@ -162,21 +246,5 @@ def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> 
     in (0, eps) and positive values (floored at 1e-6) sorted to match
     ``direction``.  Identical seeds reproduce identical families.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if segments < 1:
-        raise ValueError(f"segments must be >= 1, got {segments}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    rng = np.random.default_rng(seed)
-    eps = float(rng.uniform(0.2, 1.0))
-    family = []
-    for _ in range(n):
-        inner = np.unique(rng.uniform(0.0, eps, segments))
-        inner = inner[(inner > 0.0) & (inner < eps)]
-        breakpoints = np.concatenate(([0.0], inner, [eps]))
-        values = np.sort(np.maximum(rng.uniform(0.0, 1.0, breakpoints.size), VALUE_FLOOR))
-        if direction == "decreasing":
-            values = values[::-1]
-        family.append(MonotonePiecewiseLinear(breakpoints, values, direction))
-    return family
+    b, v, counts = _family_rows(seed, n, direction, segments)
+    return [MonotonePiecewiseLinear(bi[:c], vi[:c], direction) for bi, vi, c in zip(b, v, counts.tolist())]

@@ -9,7 +9,11 @@ Every cell, in CSV and in JSON, is formatted by one rule: None is empty
 in CSV and ``null`` in JSON, booleans are ``true``/``false``, integers
 are decimal, and floats are ``"%.17g"`` (lossless round trips), which
 prints ``inf``/``-inf``/``nan`` in CSV; JSON writes ``null`` for a
-non-finite float.  No cell needs CSV quoting.
+non-finite float.  No cell needs CSV quoting.  Rows are formatted in
+blocks: each column's slice of a block is converted to Python scalars
+once, and a slice of one type gets that type's formatter once.  Each
+block's rows are joined into one string, and the blocks into the
+document, so no column of cell strings and no list of every row is held.
 
 Exit status: 0 success, 1 runtime error, 2 invalid configuration.
 """
@@ -54,19 +58,46 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+# The one cell rule, as a formatter per cell type; JSON differs in three types.
+_CSV_CELL = {
+    float: "%.17g".__mod__,
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+    str: str,
+}
+_JSON_CELL = {
+    **_CSV_CELL,
+    float: lambda value: "%.17g" % value if math.isfinite(value) else "null",
+    type(None): lambda value: "null",
+    str: json.dumps,
+}
+
+# Rows are formatted per block: each column's slice is converted with one .tolist().
+_BLOCK_ROWS = 4096
+
+
 def _cell(value, as_json: bool) -> str:
-    """The one formatting rule for a scalar, in a CSV cell or a JSON value."""
-    if isinstance(value, float):
-        if as_json and not math.isfinite(value):
-            return "null"
-        return "%.17g" % value
-    if value is None:
-        return "null" if as_json else ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return json.dumps(str(value)) if as_json else str(value)
+    """A scalar, in a CSV cell or as a JSON value."""
+    formats = _JSON_CELL if as_json else _CSV_CELL
+    format_cell = formats.get(type(value))
+    if format_cell:
+        return format_cell(value)
+    if isinstance(value, np.generic):
+        return _cell(value.item(), as_json)
+    return formats[str](str(value))
+
+
+def _column_block(column, start: int, as_json: bool):
+    """The formatted cells of one column in rows start .. start + _BLOCK_ROWS, as an iterator."""
+    chunk = column[start:start + _BLOCK_ROWS]
+    values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+    formats = _JSON_CELL if as_json else _CSV_CELL
+    kinds = set(map(type, values))
+    format_cell = formats.get(kinds.pop()) if len(kinds) == 1 else None
+    if format_cell:
+        return map(format_cell, values)
+    return (_cell(value, as_json) for value in values)
 
 
 def _setting(value, as_json: bool) -> str:
@@ -87,26 +118,35 @@ def _json_object(members, indent: str) -> str:
 def render(config: RunConfig, columns: dict) -> str:
     """The document of one run: the configuration echo, then the rows.
 
-    ``columns`` maps each column name, in order, to its cells.
+    ``columns`` maps each column name, in order, to its cells (a list,
+    a range or a numpy array), all of one length.
     """
     as_json = config.format == "json"
     settings = [(f.name, getattr(config, f.name)) for f in fields(config)]
-    # Rows are formatted one at a time, so no column of cell strings is held.
-    rows = zip(*((_cell(v, as_json) for v in column) for column in columns.values()))
-    if not as_json:
-        lines = [f"# {key}={_setting(value, False)}" for key, value in settings]
-        body = [",".join(row) for row in rows]
-        if body:
-            lines.append(",".join(columns))
-            lines.extend(body)
-        lines.append("")
-        return "\n".join(lines)
-
-    config_doc = _json_object([(json.dumps(key), _setting(value, True)) for key, value in settings], "  ")
-    keys = [json.dumps(name) for name in columns]
-    row_docs = ["    " + _json_object(zip(keys, row), "    ") for row in rows]
-    rows_doc = "[\n" + ",\n".join(row_docs) + "\n  ]" if row_docs else "[]"
-    return '{\n  "config": ' + config_doc + ',\n  "rows": ' + rows_doc + "\n}\n"
+    count = len(next(iter(columns.values()), ()))
+    # One row's layout, with %s for each cell.
+    if as_json:
+        fmt = "    " + _json_object([(json.dumps(name).replace("%", "%%"), "%s") for name in columns], "    ")
+    else:
+        fmt = ",".join(["%s"] * len(columns))
+    separator = ",\n" if as_json else "\n"
+    blocks = []
+    for start in range(0, count, _BLOCK_ROWS):
+        cells = zip(*(_column_block(column, start, as_json) for column in columns.values()))
+        blocks.append(separator.join(map(fmt.__mod__, cells)))
+    if as_json:
+        config_doc = _json_object([(json.dumps(key), _setting(value, True)) for key, value in settings], "  ")
+        head = '{\n  "config": ' + config_doc + ',\n  "rows": '
+        empty, first, last = "[]\n}\n", "[\n", "\n  ]\n}\n"
+    else:
+        head = "".join(f"# {key}={_setting(value, False)}\n" for key, value in settings)
+        empty, first, last = "", ",".join(columns) + "\n", "\n"
+    if not blocks:
+        return head + empty
+    # Head and tail ride on the first and last block, so the document is copied once.
+    blocks[0] = head + first + blocks[0]
+    blocks[-1] += last
+    return separator.join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +212,22 @@ def _run_criterion(config: RunConfig) -> dict:
 
 def _run_inequality_check(config: RunConfig) -> dict:
     master = np.random.default_rng(check_seed(config.seed))
-    sizes, results = [], []
+    sizes, sides = [], []
     for _ in range(config.trials):
         n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
         segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
         direction = "increasing" if master.integers(2) else "decreasing"
         family_seed = int(master.integers(1 << 63))
-        family = chebyshev.random_monotone_family(family_seed, n, direction, segments)
         sizes.append(n)
-        results.append(chebyshev.check_inequality(family))
+        sides.append(chebyshev._evaluate(*chebyshev._family_rows(family_seed, n, direction, segments)))
+    lhs, rhs = np.array(sides).T
     return {
         "trial": range(config.trials),
         "n": sizes,
-        "lhs": [r.lhs for r in results],
-        "rhs": [r.rhs for r in results],
-        "margin": [r.margin for r in results],
-        "holds": [r.holds for r in results],
+        "lhs": lhs,
+        "rhs": rhs,
+        "margin": lhs - rhs,
+        "holds": chebyshev._holds(lhs, rhs),
     }
 
 

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from arccover import chebyshev
+from arccover._accum import segmented_gauss_legendre
 from arccover.chebyshev import (
+    VALUE_FLOOR,
     MonotonePiecewiseLinear,
     check_inequality,
     integral,
@@ -37,6 +40,19 @@ class TestMonotonePiecewiseLinear:
             polyline([0.0, 1.0], [1.0, 2.0], "decreasing")
         with pytest.raises(ValueError, match="direction"):
             polyline([0.0, 1.0], [1.0, 2.0], "sideways")
+
+    @pytest.mark.parametrize("points, values", [
+        ([0.0, np.nan, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, 0.5, np.inf], [1.0, 2.0, 3.0]),
+        ([0.0, 0.5, 1.0], [1.0, np.nan, 3.0]),
+        ([0.0, 0.5, 1.0], [1.0, 2.0, np.inf]),
+    ], ids=["nan-breakpoint", "inf-breakpoint", "nan-value", "inf-value"])
+    def test_non_finite_rejected(self, points, values):
+        with pytest.raises(ValueError, match="finite"):
+            polyline(points, values, "increasing")
+        b, v = np.array([points]), np.array([values])
+        with pytest.raises(ValueError, match="finite"):
+            chebyshev._check_rows(b, v, np.array([3]), "increasing")
 
     def test_constants_allowed_both_ways(self):
         polyline([0.0, 1.0], [1.0, 1.0], "increasing")
@@ -211,3 +227,119 @@ class TestSheppFactorBridge:
                 math.prod(pair_factor_integral(float(l), eps) for l in lengths), rel=1e-10
             )
             assert result.lhs / eps ** (n - 1) >= chebyshev_lower_bound(lengths, eps) * (1 - 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the row kernel against the per-function code it replaced
+
+def reference_family(seed, n, direction, segments):
+    """Per-function draws: unique inner points, then one value per breakpoint."""
+    rng = np.random.default_rng(seed)
+    eps = float(rng.uniform(0.2, 1.0))
+    family = []
+    for _ in range(n):
+        inner = np.unique(rng.uniform(0.0, eps, segments))
+        inner = inner[(inner > 0.0) & (inner < eps)]
+        breakpoints = np.concatenate(([0.0], inner, [eps]))
+        values = np.sort(np.maximum(rng.uniform(0.0, 1.0, breakpoints.size), VALUE_FLOOR))
+        if direction == "decreasing":
+            values = values[::-1]
+        family.append((breakpoints, values))
+    return family
+
+
+def reference_sides(family):
+    """(lhs, rhs) evaluated function by function."""
+    pts = np.unique(np.concatenate([b for b, _ in family]))
+    x, w = segmented_gauss_legendre(pts, math.ceil((len(family) + 1) / 2))
+    prod = np.ones_like(x)
+    for b, v in family:
+        prod *= np.interp(x, b, v)
+    eps = float(family[0][0][-1])
+    lhs = eps ** (len(family) - 1) * math.fsum((prod * w).tolist())
+    rhs = math.prod(math.fsum((np.diff(b) * (0.5 * (v[:-1] + v[1:]))).tolist()) for b, v in family)
+    return lhs, rhs
+
+
+def assert_rows_equal(rows, family):
+    b, v, counts = rows
+    assert counts.tolist() == [fb.size for fb, _ in family]
+    for bi, vi, c, (fb, fv) in zip(b, v, counts, family):
+        assert bi[:c].tobytes() == fb.tobytes()
+        assert vi[:c].tobytes() == fv.tobytes()
+        assert (bi[c:] == fb[-1]).all() and (vi[c:] == fv[-1]).all()
+
+
+class TestRowKernel:
+    def test_bit_identical_to_per_function_draws(self):
+        rng = np.random.default_rng(904)
+        for _ in range(2000):
+            seed = int(rng.integers(1 << 63))
+            n, segments = int(rng.integers(1, 11)), int(rng.integers(1, 9))
+            direction = "increasing" if rng.integers(2) else "decreasing"
+            family = reference_family(seed, n, direction, segments)
+            rows = chebyshev._family_rows(seed, n, direction, segments)
+            assert_rows_equal(rows, family)
+            assert chebyshev._evaluate(*rows) == reference_sides(family)
+            objects = random_monotone_family(seed, n, direction, segments)
+            assert [(f.breakpoints.tobytes(), f.values.tobytes()) for f in objects] == \
+                [(fb.tobytes(), fv.tobytes()) for fb, fv in family]
+            result = check_inequality(objects)
+            assert (result.lhs, result.rhs) == reference_sides(family)
+
+    def test_user_families_of_mixed_lengths(self):
+        rng = np.random.default_rng(905)
+        for _ in range(300):
+            eps = float(rng.uniform(0.1, 2.0))
+            direction = "increasing" if rng.integers(2) else "decreasing"
+            family = []
+            for _ in range(int(rng.integers(1, 9))):
+                inner = np.unique(rng.uniform(0.0, eps, int(rng.integers(0, 12))))
+                breakpoints = np.concatenate(([0.0], inner[inner > 0.0], [eps]))
+                values = np.sort(rng.uniform(0.5, 3.0, breakpoints.size))
+                family.append((breakpoints, values if direction == "increasing" else values[::-1]))
+            fs = [MonotonePiecewiseLinear(b, v, direction) for b, v in family]
+            assert_rows_equal(chebyshev._rows(fs), family)
+            result = check_inequality(fs)
+            assert (result.lhs, result.rhs) == reference_sides(family)
+            assert product_integral_pl(fs) * eps ** (len(fs) - 1) == result.lhs
+
+    def test_tied_inner_draws_are_dropped(self, monkeypatch):
+        class Scripted:
+            """A generator whose unit draws come from a script, in order."""
+
+            def __init__(self, draws):
+                self.draws = list(draws)
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                out, self.draws = self.draws[:size], self.draws[size:]
+                return np.array(out)
+
+            def uniform(self, low, high, size=None):
+                draw = self.random(1 if size is None else size) * (high - low) + low
+                return float(draw[0]) if size is None else draw
+
+        script = [0.5,  # eps = 0.6
+                  0.25, 0.75, 0.25, 0.0,  # a tie and a 0: two inner points kept
+                  0.9, 0.1, 0.3, 0.7,  # their four values
+                  0.5, 0.125, 0.625, 0.375,  # four distinct inner points
+                  0.2, 0.4, 0.6, 0.8, 0.1, 0.3]  # their six values
+        generators = []
+
+        def scripted_rng(seed):
+            generators.append(Scripted(script))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", scripted_rng)
+        family = reference_family(0, 2, "decreasing", 4)
+        rows = chebyshev._family_rows(0, 2, "decreasing", 4)
+        reference, kernel = generators
+        assert kernel.sizes[1:] == reference.sizes[1:] == [4, 4, 4, 6]
+        assert kernel.draws == reference.draws == []
+        assert_rows_equal(rows, family)
+        eps = float(rows[0][0, -1])
+        assert rows[0][0].tolist() == [0.0, eps * 0.25, eps * 0.75, eps, eps, eps]
+        assert rows[1][0].tolist() == [0.9, 0.7, 0.3, 0.1, 0.1, 0.1]  # decreasing, padded
+        assert chebyshev._evaluate(*rows) == reference_sides(family)

@@ -1,12 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from arccover import chebyshev
-from arccover.cli import main
+from arccover.chebyshev import random_monotone_family
+from arccover.cli import TRIAL_MAX_FUNCTIONS, TRIAL_MAX_SEGMENTS, RunConfig, _cell, main, render
 from arccover.sequences import generate, parse_sequence_spec
 
 from conftest import mp_log_product_integral, subprocess_env
@@ -29,6 +31,9 @@ GOLDEN_CASES = {
     "criterion_readme.csv": ["criterion", "--seq", "harmonic:c=2,cap=0.99", "--n", "100000",
                              "--checkpoints", "10,1000,100000", "--format", "csv"],
     "inequality_check.csv": ["inequality-check", "--trials", "5", "--seed", "7", "--format", "csv"],
+    # The README command: 1,000 random families through the array kernel.
+    "inequality_check_readme.csv": ["inequality-check", "--trials", "1000", "--seed", "7",
+                                    "--format", "csv"],
     "simulate.json": ["simulate", "--seq", "harmonic:c=2,cap=0.99", "--n", "50", "--reps", "100",
                       "--seed", "42", "--format", "json"],
     "pair_probe.csv": ["pair-probe", "--seq", "harmonic:c=0.2,cap=0.3", "--n", "3", "--t", "0.15",
@@ -153,21 +158,26 @@ def test_golden_quadrature_cells_match_mpmath():
         assert abs(row["log_product_integral"] - oracle) <= 1e-14
 
 
-def test_golden_inequality_lhs_matches_mpmath(monkeypatch, capsys):
+def replay_families(trials: int, seed: int):
+    """The families inequality-check draws: its master draws, then random_monotone_family."""
+    master = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
+        segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
+        direction = "increasing" if master.integers(2) else "decreasing"
+        yield random_monotone_family(int(master.integers(1 << 63)), n, direction, segments)
+
+
+def test_golden_inequality_lhs_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    families = []
-    original = chebyshev.check_inequality
-
-    def recording_check(family):
-        families.append(family)
-        return original(family)
-
-    monkeypatch.setattr(chebyshev, "check_inequality", recording_check)
-    run_cli(GOLDEN_CASES["inequality_check.csv"], capsys)
+    argv = GOLDEN_CASES["inequality_check.csv"]
+    trials, seed = int(argv[argv.index("--trials") + 1]), int(argv[argv.index("--seed") + 1])
+    families = list(replay_families(trials, seed))
     lines = (GOLDEN_DIR / "inequality_check.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines if line[:1].isdigit()]
     assert len(rows) == len(families) == 5
     for row, family in zip(rows, families):
+        assert int(row[1]) == len(family)
         assert float(row[2]) == pytest.approx(mp_inequality_lhs(mpmath, family), rel=1e-14, abs=0)
 
 
@@ -212,6 +222,84 @@ class TestSchemas:
         out = run_cli(GOLDEN_CASES["criterion.csv"], capsys)
         row1 = [line for line in out.splitlines() if line.startswith("1,")][0]
         assert row1.split(",")[3] == "%.17g" % 1.6487212707001282
+
+
+def cell_rule(value, as_json: bool) -> str:
+    """The per-cell rule of the README, applied to one value."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None:
+        return "null" if as_json else ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return "null" if as_json and not math.isfinite(value) else "%.17g" % value
+    return json.dumps(value) if as_json else value
+
+
+def rows_by_cell_rule(columns: dict, as_json: bool) -> str:
+    """The rows of a document, formatted cell by cell and row by row."""
+    count = len(next(iter(columns.values())))
+    if not as_json:
+        lines = [",".join(columns)]
+        lines += [",".join(cell_rule(column[i], False) for column in columns.values())
+                  for i in range(count)]
+        return "\n".join(lines) + "\n"
+    docs = []
+    for i in range(count):
+        members = [f"      {json.dumps(name)}: {cell_rule(column[i], True)}"
+                   for name, column in columns.items()]
+        docs.append("    {\n" + ",\n".join(members) + "\n    }")
+    return '"rows": [\n' + ",\n".join(docs) + "\n  ]\n}\n"
+
+
+class TestRender:
+    def test_numpy_arrays_follow_the_cell_rule(self):
+        columns = {
+            "flag": np.array([True, False]),
+            "count": np.array([7, -(2**62)], dtype=np.int64),
+            "x": np.array([0.1, 1e300]),
+        }
+        lines = render(RunConfig(command="criterion", format="csv"), columns).splitlines()
+        assert lines[-2:] == ["true,7,0.10000000000000001", "false,-4611686018427387904,1.0000000000000001e+300"]
+        doc = json.loads(render(RunConfig(command="criterion"), columns))
+        assert doc["rows"][0] == {"flag": True, "count": 7, "x": 0.1}
+
+    def test_numpy_scalars_follow_the_cell_rule(self):
+        assert _cell(np.bool_(True), False) == "true"
+        assert _cell(np.bool_(False), True) == "false"
+        assert _cell(np.int64(-3), False) == "-3"
+        assert _cell(np.float64(np.inf), True) == "null"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_match_the_cell_rule(self, fmt):
+        # 10,000 rows cross several row blocks; every column kind appears.
+        rng = np.random.default_rng(5)
+        count = 10_000
+        x = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        x[rng.integers(0, count, 40)] = np.nan
+        x[rng.integers(0, count, 40)] = np.inf
+        x[rng.integers(0, count, 40)] = -np.inf
+        x[rng.integers(0, count, 40)] = -0.0
+        maybe = [None if i % 7 == 0 else float(v) for i, v in enumerate(rng.random(count))]
+        maybe[3] = float("nan")
+        columns = {
+            "trial": range(count),
+            "flag": rng.random(count) < 0.5,
+            "count": rng.integers(-(2**63), 2**63 - 1, count, dtype=np.int64),
+            "x": x,
+            "maybe": maybe,
+            "scalars": [np.float64(v) for v in rng.random(count)],
+        }
+        document = render(RunConfig(command="criterion", format=fmt), columns)
+        expected = rows_by_cell_rule(columns, fmt == "json")
+        assert document.endswith(expected)
+        if fmt == "csv":
+            assert all(f",{word}," in expected for word in ("inf", "-inf", "nan", "-0"))
+        else:
+            assert len(json.loads(document)["rows"]) == count
 
 
 class TestExitCodes:
