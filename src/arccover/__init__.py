@@ -8,7 +8,7 @@ Four concerns, one per module:
   criterion series;
 * :mod:`arccover.chebyshev`  - the integral inequality
   eps**(n-1) * int(prod f_k) >= prod(int f_k) for commonly monotone
-  positive functions, exact on piecewise-linear representatives;
+  positive functions, to roundoff on piecewise-linear representatives;
 * :mod:`arccover.covering`   - reproducible Monte Carlo simulation of
   the covering process itself.
 

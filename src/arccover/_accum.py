@@ -1,4 +1,4 @@
-"""Compensated accumulation (Sum2 prefixes, log-sum-exp) and the decimal-built Gauss-Legendre rule."""
+"""Compensated sums (Sum2 prefixes, log-sum-exp), the decimal-built Gauss-Legendre rule, and the product rule."""
 
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ import numpy as np
 # resolution, so rounding to float64 is the only error that shows.
 _GL_CONTEXT = decimal.Context(prec=40)
 _GL_TOLERANCE = decimal.Decimal("1e-30")
+
+# Cap on Gauss-Legendre nodes per quadrature piece: exact up to degree 23,
+# at roundoff above it on pieces sized by the log-drop.
+MAX_NODES = 12
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -122,3 +126,29 @@ def segmented_gauss_legendre(breakpoints, order: int) -> tuple[np.ndarray, np.nd
     x = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xg).ravel()
     w = (0.5 * (hi - lo)[:, None] * wg).ravel()
     return x, w
+
+
+def product_rule(breakpoints: np.ndarray, degree, log_integrand, nodes: int | None = None):
+    """Nodes, weights, node count q and piece count for a product of positive piecewise-linear factors.
+
+    ``degree`` is the product's degree on each segment of the ascending
+    ``breakpoints`` (or one for all).  q = min(ceil((max degree + 1)/2),
+    MAX_NODES) nodes, or ``nodes`` uncapped, are exact on a segment of
+    degree <= 2q - 1.  A segment of higher degree is cut into ceil(L)
+    equal pieces, L being the absolute drop across it of ``log_integrand``
+    (the log of the product, called on the breakpoints only then).  A
+    product of positive linear factors has a concave log, so a monotone
+    product's heaviest piece (the first if it decreases, the last if it
+    increases) changes by at most 1 in log, where q nodes are at
+    roundoff; every other piece is smaller by the drop between them.
+    """
+    q = min(math.ceil((np.max(degree) + 1) / 2), MAX_NODES) if nodes is None else int(nodes)
+    high = np.asarray(degree) > 2 * q - 1
+    if not high.any():
+        return (*segmented_gauss_legendre(breakpoints, q), q, breakpoints.size - 1)
+    drop = np.abs(np.diff(log_integrand(breakpoints)))
+    pieces = np.where(high, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
+    seg = np.repeat(np.arange(pieces.size), pieces)
+    offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(breakpoints[seg] + np.diff(breakpoints)[seg] * offset / pieces[seg], breakpoints[-1])
+    return (*segmented_gauss_legendre(edges, q), q, seg.size)

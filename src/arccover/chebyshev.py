@@ -5,12 +5,12 @@ or all decreasing,
 
     eps**(n-1) * integral(prod_k f_k)  >=  prod_k integral(f_k).
 
-Piecewise-linear representatives make both sides exactly computable:
-the trapezoid rule is exact per factor, and Gauss-Legendre with
-ceil((n+1)/2) nodes per merged segment is exact for the degree-n
-product.  The arc-avoidance factors of the covering problem are
-themselves piecewise linear, so this engine reproduces that
-application losslessly.
+Piecewise-linear representatives make both sides computable: the
+trapezoid rule is exact per factor, and ``_accum.product_rule``, which
+the arc-factor product integral uses too, integrates the product (of
+degree n between merged breakpoints): exact for at most 23 functions, at
+roundoff above.  The arc-avoidance factors of the covering problem are
+themselves piecewise linear, so this engine reproduces that application.
 
 The engine works on a family as rows: an ``(n, width)`` array of
 breakpoints, one of values, and the number of breakpoints each row
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import segmented_gauss_legendre
+from ._accum import product_rule
 
 DIRECTIONS = ("increasing", "decreasing")
 
@@ -126,12 +126,14 @@ def _row_integrals(b: np.ndarray, v: np.ndarray) -> list[float]:
 
 
 def _product_integral_rows(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> float:
-    # Exact: the product is polynomial of degree <= n between merged breakpoints.
-    x, w = segmented_gauss_legendre(np.unique(b), math.ceil((len(counts) + 1) / 2))
-    prod = np.ones_like(x)
-    for bi, vi, c in zip(b, v, counts.tolist()):
-        prod *= np.interp(x, bi[:c], vi[:c])
-    return math.fsum((prod * w).tolist())
+    # The product is a polynomial of degree n between merged breakpoints.
+    rows = list(zip(b, v, counts.tolist()))
+
+    def factors(x: np.ndarray):
+        return (np.interp(x, bi[:c], vi[:c]) for bi, vi, c in rows)
+
+    x, w, _, _ = product_rule(np.unique(b), len(rows), lambda t: sum(map(np.log, factors(t))))
+    return math.fsum((math.prod(factors(x)) * w).tolist())
 
 
 def _evaluate(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
@@ -169,7 +171,7 @@ def _common_family(fs) -> list[MonotonePiecewiseLinear]:
 
 
 def product_integral_pl(fs) -> float:
-    """Exact integral of ``prod(fs)`` over the shared domain.
+    """Integral of ``prod(fs)`` over the shared domain, exact for at most 23 functions.
 
     Raises on mixed directions or mismatched domains: the inequality
     this engine certifies is only stated for commonly monotone
@@ -210,8 +212,6 @@ def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.n
         raise ValueError(f"n must be >= 1, got {n}")
     if segments < 1:
         raise ValueError(f"segments must be >= 1, got {segments}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     rng = np.random.default_rng(seed)
     eps = float(rng.uniform(0.2, 1.0))
     inner = np.empty((n, segments))

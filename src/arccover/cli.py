@@ -295,15 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         return p
 
-    p = add("integrate", "exact product integral over [0, eps]")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("bound", "lower-bound certificate (m, log_C, g_log_sum, bound_log)")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    for name, help_text in (("integrate", "exact product integral over [0, eps]"),
+                            ("bound", "lower-bound certificate (m, log_C, g_log_sum, bound_log)")):
+        p = add(name, help_text)
+        p.add_argument("--seq", required=True)
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--n", type=int, required=True)
 
     p = add("divergence", "certificate growth along checkpoints, with quadrature where affordable")
     p.add_argument("--seq", required=True)
@@ -357,9 +354,11 @@ def run(config: RunConfig) -> str:
     return render(config, _RUNNERS[config.command](config))
 
 
+_PARSER = build_parser()  # once per process: building it costs more than a small command
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
         document = run(config)

@@ -10,9 +10,9 @@ squared single-point avoidance probability.  This module evaluates
 
 * the closed-form integral of one factor over [0, eps],
 * the product integral  I_n = integral_0^eps  prod_k f_{l_k}(t) dt
-  to roundoff by Gauss-Legendre quadrature between the distinct lengths
-  below eps: exact up to degree 23, and a 12-node rule on short pieces
-  above it, O(n) points of O(n) work each,
+  to roundoff by ``_accum.product_rule``, shared with ``chebyshev``, on
+  the distinct lengths below eps: exact up to degree 23, and a 12-node
+  rule on short pieces above it, O(n) points of O(n) work each,
 * the Chebyshev-route lower bound  eps**(1-n) * prod_k integral(f_{l_k})
   and its certificate decomposition through the growth function
 
@@ -39,16 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import compensated_cumsum, log_sum_exp, segmented_gauss_legendre
+from ._accum import compensated_cumsum, log_sum_exp, product_rule
 from .sequences import LengthSequence, as_lengths, check_window, epsilon_window, generate
 
 # Points-times-factors evaluations are chunked to bound peak memory; a
 # 512 KiB block also stays in cache through the five passes over it.
 _CHUNK_ELEMENTS = 1 << 16
-
-# Default cap on Gauss-Legendre nodes per quadrature piece: exact up to
-# degree 23, at roundoff above it on pieces sized by the log-drop.
-_MAX_NODES = 12
 
 # divergence_table's (and --quadrature-cap's) default largest n for quadrature.
 DEFAULT_QUADRATURE_CAP = 2000
@@ -167,14 +163,6 @@ def pair_factor_integral(l: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 # product integral
 
-def _breakpoints(lengths: np.ndarray, eps: float) -> np.ndarray:
-    """0, the sorted distinct lengths below eps, and eps.
-
-    Every segment has positive width, and the integrand is one polynomial on it.
-    """
-    return np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
-
-
 def _log_integrand(lengths: np.ndarray, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log prod_k f_{l_k}(x) at the ascending points ``x``, in cache-sized chunks.
 
@@ -208,31 +196,16 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
 
     On a breakpoint segment [a, b] the factors with l_k <= a are
     constants and the d factors with l_k > a make the integrand a
-    polynomial of degree d.  The rule has q = min(ceil((n+1)/2), 12)
-    Gauss-Legendre nodes, exact for every segment with d <= 2q - 1 (so
-    for every n <= 23).  A segment of higher degree is cut into
-    ceil(L) equal pieces, where L is the drop of the log-integrand
-    across it.  The log-integrand is concave there, so the first piece,
-    which carries the most mass, drops by at most 1 and the 12-node rule
-    is at roundoff on it; each later piece drops faster but its values
-    are smaller by the drop before it.  An explicit
-    ``nodes_per_segment`` sets q without the cap; ceil((n+1)/2) then
-    integrates every segment exactly in one piece.  Pointwise values are
-    formed as exp(sum of logs) and pieces are combined by log-sum-exp,
-    so ``log_value`` stays finite and accurate even when ``value``
-    overflows.
+    polynomial of degree d, integrated by ``_accum.product_rule``: 12
+    nodes at most, exact for n <= 23, on pieces sized by the log-drop
+    above.  An explicit ``nodes_per_segment`` lifts the cap;
+    ceil((n+1)/2) integrates every segment exactly in one piece.  Values
+    are exp(sum of logs), combined by log-sum-exp, so ``log_value``
+    stays accurate when ``value`` overflows.
     """
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
     n = int(lengths.size)
-    if nodes_per_segment is None:
-        nodes = min(math.ceil((n + 1) / 2), _MAX_NODES)
-    else:
-        nodes = int(nodes_per_segment)
-    if nodes < 1:
-        raise ValueError(f"nodes_per_segment must be >= 1, got {nodes_per_segment}")
-    if n == 0:
-        return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
     # Only lengths <= eps are ever flat on the window, and those are below
     # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
@@ -240,30 +213,26 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     small = ascending[:np.count_nonzero(lengths <= eps)]
     flat = np.concatenate(([0.0], compensated_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
 
-    pts = _breakpoints(lengths, eps)
-    lo, width = pts[:-1], np.diff(pts)
-    degree = n - np.searchsorted(ascending, lo, side="right")
-    drop = -np.diff(_log_integrand(lengths, flat, pts))
-    # Roundoff can make the drop across a segment a few ulps wide read <= 0.
-    pieces = np.where(degree > 2 * nodes - 1, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
-    seg = np.repeat(np.arange(lo.size), pieces)
-    offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    edges = np.append(lo[seg] + width[seg] * offset / pieces[seg], eps)
-    x, w = segmented_gauss_legendre(edges, nodes)
+    # 0, the distinct lengths below eps, and eps: segments of positive
+    # width, with the integrand one polynomial on each.
+    pts = np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
+    degree = n - np.searchsorted(ascending, pts[:-1], side="right")
+    x, w, nodes, pieces = product_rule(pts, degree, lambda t: _log_integrand(lengths, flat, t), nodes_per_segment)
+    if n == 0:
+        return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
     log_value = log_sum_exp(_log_integrand(lengths, flat, x), w)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
-    return QuadratureResult(
-        value=value,
-        log_value=log_value,
-        segment_count=int(seg.size),
-        nodes_per_segment=nodes,
-    )
+    return QuadratureResult(value=value, log_value=log_value, segment_count=pieces, nodes_per_segment=nodes)
 
 
 # ---------------------------------------------------------------------------
 # growth function and the lower-bound chain
+
+def _growth(eps: float, x: float) -> float:
+    return (0.5 * x * x + eps - 2.0 * eps * x) / (eps * (1.0 - x) ** 2)
+
 
 def growth_eval(eps: float, x: float) -> float:
     """g_eps(x) = (x**2/2 + eps - 2*eps*x) / (eps * (1 - x)**2)."""
@@ -275,14 +244,7 @@ def growth_eval(eps: float, x: float) -> float:
         raise ValueError(f"x must be below 1, got {x}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    return (0.5 * x * x + eps - 2.0 * eps * x) / (eps * (1.0 - x) ** 2)
-
-
-def _log_growth(eps: float, x: np.ndarray) -> np.ndarray:
-    # log g via the exact identity g - 1 = x^2 (1-2 eps) / (2 eps (1-x)^2);
-    # log1p keeps the terms exactly nonnegative for eps <= 1/2.
-    x = np.asarray(x, dtype=np.float64)
-    return np.log1p(x * x * (1.0 - 2.0 * eps) / (2.0 * eps * np.square(1.0 - x)))
+    return _growth(eps, x)
 
 
 def growth_derivative_probe(eps: float) -> GrowthDerivatives:
@@ -295,33 +257,47 @@ def growth_derivative_probe(eps: float) -> GrowthDerivatives:
     eps = float(eps)
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-
-    def g(x: float) -> float:
-        return (0.5 * x * x + eps - 2.0 * eps * x) / (eps * (1.0 - x) ** 2)
-
     h1 = 1e-4
     h2 = 1e-3
     return GrowthDerivatives(
         g0=growth_eval(eps, 0.0),
-        d1=(g(h1) - g(-h1)) / (2.0 * h1),
-        d2=(g(h2) - 2.0 * g(0.0) + g(-h2)) / (h2 * h2),
+        d1=(_growth(eps, h1) - _growth(eps, -h1)) / (2.0 * h1),
+        d2=(_growth(eps, h2) - 2.0 * _growth(eps, 0.0) + _growth(eps, -h2)) / (h2 * h2),
     )
 
 
+def _certificate(lengths: np.ndarray, eps: float) -> LowerBoundCertificate:
+    # A tail length's integral(f_l) = eps * g_eps(l): its eps cancels one of
+    # eps**(1-n) before any rounding, so only the m head terms keep theirs.
+    m = int(np.count_nonzero(lengths >= eps))
+    head = math.fsum(math.log(pair_factor_integral(v, eps)) for v in lengths[:m])
+    log_c = (1.0 - m) * math.log(eps) + head
+    # log g by the exact identity g - 1 = x^2 (1-2 eps) / (2 eps (1-x)^2), whose
+    # log1p keeps each term exactly nonnegative for eps <= 1/2.  In place, and
+    # read by fsum as an array, 10^6 terms need two 8 MB temporaries.
+    x = lengths[m:]
+    ratio, den = x * x * (1.0 - 2.0 * eps), 1.0 - x
+    den *= den
+    den *= 2.0 * eps
+    ratio /= den
+    g_log_sum = math.fsum(np.log1p(ratio, out=ratio))
+    return LowerBoundCertificate(m=m, log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
+
+
 def chebyshev_lower_bound(lengths, eps: float) -> float:
-    """eps**(1-n) * prod_k integral(f_{l_k}), accumulated in log space.
+    """eps**(1-n) * prod_k integral(f_{l_k}): exp of the certificate's bound_log.
 
     By the Chebyshev-type integral inequality for commonly monotone
     positive functions this bounds the product integral from below.
-    Returns eps for empty input, consistent with the empty product.
+    Returns inf past float64's range, and eps for empty input,
+    consistent with the empty product.
     """
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
-    n = int(lengths.size)
-    if n == 0:
+    if lengths.size == 0:
         return eps
-    log_sum = math.fsum(math.log(pair_factor_integral(v, eps)) for v in lengths)
-    return math.exp((1.0 - n) * math.log(eps) + log_sum)
+    with np.errstate(over="ignore"):
+        return float(np.exp(_certificate(lengths, eps).bound_log))
 
 
 def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
@@ -337,13 +313,7 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     eps = check_window(lengths, eps)
     if eps >= 0.5:
         raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")
-    m = int(np.count_nonzero(lengths >= eps))
-    log_c = (1.0 - m) * math.log(eps) + math.fsum(
-        math.log(pair_factor_integral(v, eps)) for v in lengths[:m]
-    )
-    # fsum reads the array directly: a list of 10^6 floats would add 32 MB.
-    g_log_sum = math.fsum(_log_growth(eps, lengths[m:]))
-    return LowerBoundCertificate(m=m, log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
+    return _certificate(lengths, eps)
 
 
 def divergence_table(

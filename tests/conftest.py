@@ -11,8 +11,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import arccover
+from arccover import _accum
 from arccover.chebyshev import MonotonePiecewiseLinear
 from arccover.integrals import pair_factor_eval
 
@@ -72,6 +74,20 @@ def uncovered_fraction_grid(lengths, points, grid: int = 200_000) -> float:
     for x in points:
         ok &= (x - centers) % 1.0 >= l
     return float(ok.mean())
+
+
+@pytest.fixture
+def rule_orders(monkeypatch) -> list:
+    """The order of every Gauss-Legendre rule the library asks for while the test runs."""
+    orders = []
+    build = _accum.gauss_legendre
+
+    def spy(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(_accum, "gauss_legendre", spy)
+    return orders
 
 
 def subprocess_env() -> dict:

@@ -1,9 +1,10 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
-from arccover import chebyshev
+from arccover import _accum, chebyshev
 from arccover._accum import segmented_gauss_legendre
 from arccover.chebyshev import (
     VALUE_FLOOR,
@@ -15,6 +16,7 @@ from arccover.chebyshev import (
     two_function_correlation,
 )
 from arccover.integrals import chebyshev_lower_bound, pair_factor_integral, product_integral
+from arccover.sequences import LengthSequence, generate
 
 from conftest import shepp_factor_polyline
 
@@ -228,6 +230,15 @@ class TestSheppFactorBridge:
             )
             assert result.lhs / eps ** (n - 1) >= chebyshev_lower_bound(lengths, eps) * (1 - 1e-10)
 
+    def test_thousand_factors_match_product_integral(self):
+        # 1000 factors: the rule cuts segments into pieces by the log-drop,
+        # as product_integral does for the same integrand.
+        eps = 0.25
+        lengths = generate(LengthSequence.inverse_sqrt(c=1, cap=0.49), 1000)
+        family = [shepp_factor_polyline(float(l), eps) for l in lengths]
+        linear = product_integral_pl(family)
+        assert abs(math.log(linear) - product_integral(lengths, eps).log_value) <= 1e-13
+
 
 # ---------------------------------------------------------------------------
 # the row kernel against the per-function code it replaced
@@ -343,3 +354,65 @@ class TestRowKernel:
         assert rows[0][0].tolist() == [0.0, eps * 0.25, eps * 0.75, eps, eps, eps]
         assert rows[1][0].tolist() == [0.9, 0.7, 0.3, 0.1, 0.1, 0.1]  # decreasing, padded
         assert chebyshev._evaluate(*rows) == reference_sides(family)
+
+
+# ---------------------------------------------------------------------------
+# the shared product rule
+
+def mp_product_integral(mpmath, family) -> float:
+    """integral(prod f_k) at 40 digits, exact on each merged segment.
+
+    Every function is linear on a merged segment [a, b], so the product
+    is expanded into a polynomial in s = (t - a)/(b - a) and integrated
+    term by term.
+    """
+    with mpmath.workdps(40):
+        rows = [([mpmath.mpf(x) for x in f.breakpoints.tolist()],
+                 [mpmath.mpf(v) for v in f.values.tolist()]) for f in family]
+        pts = sorted({x for xs, _ in rows for x in xs})
+        total = mpmath.mpf(0)
+        for a, b in zip(pts[:-1], pts[1:]):
+            coeffs = [mpmath.mpf(1)]
+            for xs, vs in rows:
+                i = bisect.bisect_right(xs, a) - 1
+                slope = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+                at_a = vs[i] + slope * (a - xs[i])
+                rise = slope * (b - a)
+                coeffs = [at_a * c + rise * lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+            total += (b - a) * mpmath.fsum(c / (k + 1) for k, c in enumerate(coeffs))
+        return float(total)
+
+
+class TestSharedRule:
+    @pytest.mark.parametrize("direction", chebyshev.DIRECTIONS)
+    def test_exact_rule_up_to_23_functions(self, direction):
+        rng = np.random.default_rng(906)
+        for n in range(1, 24):
+            seed, segments = int(rng.integers(1 << 63)), int(rng.integers(1, 9))
+            family = reference_family(seed, n, direction, segments)
+            assert chebyshev._evaluate(*chebyshev._family_rows(seed, n, direction, segments)) == \
+                reference_sides(family)
+
+    @pytest.mark.parametrize("n", [24, 50, 100, 200])
+    @pytest.mark.parametrize("direction", chebyshev.DIRECTIONS)
+    def test_capped_rule_matches_degree_exact_rule(self, direction, n):
+        rng = np.random.default_rng(907 + n)
+        for _ in range(3):
+            seed, segments = int(rng.integers(1 << 63)), int(rng.integers(1, 9))
+            lhs, rhs = chebyshev._evaluate(*chebyshev._family_rows(seed, n, direction, segments))
+            exact_lhs, exact_rhs = reference_sides(reference_family(seed, n, direction, segments))
+            assert rhs == exact_rhs
+            assert abs(lhs - exact_lhs) <= 1e-12 * exact_lhs
+
+    @pytest.mark.parametrize("direction", chebyshev.DIRECTIONS)
+    def test_fifty_functions_match_mpmath(self, direction):
+        mpmath = pytest.importorskip("mpmath")
+        family = random_monotone_family(908, 50, direction, 2)
+        oracle = mp_product_integral(mpmath, family)
+        assert abs(product_integral_pl(family) - oracle) <= 1e-13 * oracle
+
+    @pytest.mark.parametrize("n", [24, 100, 500])
+    def test_no_rule_above_the_cap(self, rule_orders, n):
+        check_inequality(random_monotone_family(909, n, "decreasing", 6))
+        check_inequality(random_monotone_family(910, n, "increasing", 6))
+        assert rule_orders and max(rule_orders) <= _accum.MAX_NODES

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arccover import _accum, cli
 from arccover.chebyshev import random_monotone_family
 from arccover.cli import TRIAL_MAX_FUNCTIONS, TRIAL_MAX_SEGMENTS, RunConfig, _cell, main, render
 from arccover.sequences import generate, parse_sequence_spec
@@ -69,6 +70,24 @@ def test_repeat_runs_byte_identical(name, capsys):
     first = run_cli(GOLDEN_CASES[name], capsys)
     second = run_cli(GOLDEN_CASES[name], capsys)
     assert first == second
+
+
+def test_golden_commands_build_no_rule_above_the_cap(rule_orders, capsys):
+    for argv in GOLDEN_CASES.values():
+        run_cli(argv, capsys)
+    assert rule_orders and max(rule_orders) <= _accum.MAX_NODES
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main must not build a parser per call")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    for name in ("integrate.json", "inequality_check.csv"):
+        assert run_cli(GOLDEN_CASES[name], capsys) == (GOLDEN_DIR / name).read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense"])
+    assert exc.value.code == 2
 
 
 def test_out_flag_writes_same_bytes(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover._accum import compensated_cumsum, gauss_legendre, log_sum_exp
+from arccover._accum import MAX_NODES, compensated_cumsum, gauss_legendre, log_sum_exp, product_rule
 from arccover.integrals import (
     chebyshev_lower_bound,
     criterion_partial_sums,
@@ -392,6 +392,42 @@ class TestProductIntegral:
         assert result.nodes_per_segment == 12
         assert result.segment_count * result.nodes_per_segment <= 16 * n
 
+    def test_no_rule_above_the_cap(self, rule_orders):
+        product_integral(generate(LengthSequence.inverse_sqrt(c=1, cap=0.49), 2000), 0.25)
+        assert rule_orders and max(rule_orders) <= MAX_NODES
+
+
+class TestProductRule:
+    def test_low_degree_is_one_piece_without_the_log_integrand(self):
+        def never(x):
+            raise AssertionError("no segment needs cutting")
+
+        x, w, q, pieces = product_rule(np.array([0.0, 0.1, 0.3]), np.array([23, 5]), never)
+        assert (q, pieces) == (12, 2)
+        assert x.size == w.size == 24
+        x, w, q, pieces = product_rule(np.array([0.0, 0.1, 0.3]), 3, never)
+        assert (q, pieces) == (2, 2)
+
+    def test_explicit_nodes_lift_the_cap(self):
+        x, w, q, pieces = product_rule(np.array([0.0, 1.0]), 101, None, nodes=51)
+        assert (q, pieces, x.size) == (51, 1, 51)
+
+    @pytest.mark.parametrize("rising", [False, True], ids=["decreasing", "increasing"])
+    def test_pieces_follow_the_log_drop_either_way(self, rising):
+        # (1.01 - t)**200 and its mirror (0.01 + t)**200 on [0, 1]: the same
+        # drop of 200*log(101), so the same pieces, and the integral to roundoff.
+        d = 200
+
+        def log_integrand(t):
+            return d * np.log(0.01 + t if rising else 1.01 - t)
+
+        x, w, q, pieces = product_rule(np.array([0.0, 1.0]), d, log_integrand)
+        assert q == MAX_NODES
+        assert pieces == math.ceil(d * math.log(101.0))
+        log_value = log_sum_exp(log_integrand(x), w)
+        exact = (d + 1) * math.log(1.01) - math.log(d + 1) + math.log1p(-(1 / 101) ** (d + 1))
+        assert abs(log_value - exact) <= 1e-13
+
 
 class TestGrowth:
     def test_at_zero_is_exactly_one(self):
@@ -460,6 +496,26 @@ class TestLowerBound:
 
     def test_empty(self):
         assert chebyshev_lower_bound([], 0.3) == 0.3
+
+    def test_overflow_is_inf(self):
+        # The certificate's bound_log is finite (about 824); its exp is not.
+        l, eps, n = 0.45, 0.05, 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chebyshev_lower_bound(np.full(n, l), eps) == math.inf
+        bound_log = shepp_lower_bound(np.full(n, l), eps).bound_log
+        assert bound_log == pytest.approx(math.log(eps) + n * math.log(pair_factor_integral(l, eps) / eps))
+        assert bound_log > math.log(np.finfo(float).max)
+
+    def test_no_cancellation_in_the_window_power(self):
+        # eps**(1-n) * (eps * g_eps(l))**n = eps * g_eps(l)**n: summing
+        # (1-n)*log(eps) with n*log(integral) would cancel 99.99 % of both.
+        mpmath = pytest.importorskip("mpmath")
+        l, eps, n = 0.01, 0.9, 3000
+        with mpmath.workdps(50):
+            ml, me = mpmath.mpf(l), mpmath.mpf(eps)
+            oracle = me ** (1 - n) * ((ml * ml / 2 + me - 2 * me * ml) / (1 - ml) ** 2) ** n
+        assert abs(chebyshev_lower_bound(np.full(n, l), eps) - float(oracle)) <= 1e-15 * float(oracle)
 
     def test_certificate_matches_direct_bound(self):
         cert = shepp_lower_bound([0.2, 0.2], 0.3)
