@@ -13,9 +13,9 @@ roundoff above.  The arc-avoidance factors of the covering problem are
 themselves piecewise linear, so this engine reproduces that application.
 
 The engine works on a family as rows: an ``(n, width)`` array of
-breakpoints, one of values, and the number of breakpoints each row
-really has.  A shorter row is padded with eps and its last value; the
-padded pieces have zero width, so they add exact zeros to every sum.
+breakpoints and one of values; a row ends where its breakpoints reach
+eps.  A shorter row is padded with eps and its last value; the padded
+pieces have zero width, so they add exact zeros to every sum.
 One evaluator takes these rows for random and user-built families alike,
 and ``inequality-check`` runs its trials on them without building an
 object per function.
@@ -109,14 +109,14 @@ class InequalityCheck:
     margin: float
 
 
-def _rows(fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A family as padded rows: breakpoints, values and each row's true length."""
-    counts = np.array([f.breakpoints.size for f in fs])
+def _rows(fs) -> tuple[np.ndarray, np.ndarray]:
+    """A family as rows of breakpoints and values, each padded with eps and its last value."""
+    width = max(f.breakpoints.size for f in fs)
 
     def padded(a: np.ndarray) -> np.ndarray:
-        return np.pad(a, (0, counts.max() - a.size), mode="edge")
+        return np.pad(a, (0, width - a.size), mode="edge")
 
-    return np.array([padded(f.breakpoints) for f in fs]), np.array([padded(f.values) for f in fs]), counts
+    return np.array([padded(f.breakpoints) for f in fs]), np.array([padded(f.values) for f in fs])
 
 
 def _row_integrals(b: np.ndarray, v: np.ndarray) -> list[float]:
@@ -125,21 +125,22 @@ def _row_integrals(b: np.ndarray, v: np.ndarray) -> list[float]:
     return [math.fsum(row) for row in terms.tolist()]
 
 
-def _product_integral_rows(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> float:
+def _product_integral_rows(b: np.ndarray, v: np.ndarray) -> float:
     # The product is a polynomial of degree n between merged breakpoints.
-    rows = list(zip(b, v, counts.tolist()))
+    # np.interp on a padded row gives the bits of the cut row.
+    rows = list(zip(b, v))
 
     def factors(x: np.ndarray):
-        return (np.interp(x, bi[:c], vi[:c]) for bi, vi, c in rows)
+        return (np.interp(x, bi, vi) for bi, vi in rows)
 
     x, w, _, _ = product_rule(np.unique(b), len(rows), lambda t: sum(map(np.log, factors(t))))
     return math.fsum((math.prod(factors(x)) * w).tolist())
 
 
-def _evaluate(b: np.ndarray, v: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+def _evaluate(b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Both sides, ``(eps**(n-1) * integral(prod f_k), prod integral(f_k))``, of a family in rows."""
     eps = float(b[0, -1])
-    lhs = eps ** (len(counts) - 1) * _product_integral_rows(b, v, counts)
+    lhs = eps ** (len(b) - 1) * _product_integral_rows(b, v)
     return lhs, math.prod(_row_integrals(b, v))
 
 
@@ -201,12 +202,12 @@ def two_function_correlation(f: MonotonePiecewiseLinear, g: MonotonePiecewiseLin
     monotonicity hypothesis is necessary.
     """
     eps = _shared_domain([f, g])
-    b, v, counts = _rows([f, g])
+    b, v = _rows([f, g])
     int_f, int_g = _row_integrals(b, v)
-    return 2.0 * eps * _product_integral_rows(b, v, counts) - 2.0 * int_f * int_g
+    return 2.0 * eps * _product_integral_rows(b, v) - 2.0 * int_f * int_g
 
 
-def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``random_monotone_family(seed, n, direction, segments)``, width segments + 2."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -214,29 +215,21 @@ def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.n
         raise ValueError(f"segments must be >= 1, got {segments}")
     rng = np.random.default_rng(seed)
     eps = float(rng.uniform(0.2, 1.0))
-    inner = np.empty((n, segments))
-    drawn = np.full((n, segments + 2), np.nan)  # unused slots stay NaN and sort last
-    counts = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        # eps * random() is bit for bit rng.uniform(0, eps).
-        inner[i] = eps * rng.random(segments)
-        counts[i] = kept = 2 + len({x for x in inner[i].tolist() if 0.0 < x < eps})
-        drawn[i, :kept] = rng.random(kept)
-    # Drop ties and out-of-range draws, as np.unique and a range filter would.
-    inner.sort(axis=1)
-    dropped = (inner <= 0.0) | (inner >= eps)
-    dropped[:, 1:] |= inner[:, 1:] == inner[:, :-1]
-    inner[dropped] = eps
-    inner.sort(axis=1)
-    b = np.full_like(drawn, eps)
+    b = np.full((n, segments + 2), eps)
     b[:, 0] = 0.0
-    b[:, 1:-1] = inner
+    drawn = np.full_like(b, np.nan)  # unused slots stay NaN and sort last
+    for i in range(n):
+        # eps * random() is bit for bit rng.uniform(0, eps).  The set drops
+        # ties and out-of-range draws, as np.unique and a range filter would.
+        inner = sorted({x for x in (eps * rng.random(segments)).tolist() if 0.0 < x < eps})
+        b[i, 1:1 + len(inner)] = inner
+        drawn[i, :len(inner) + 2] = rng.random(len(inner) + 2)
     v = np.maximum(drawn, VALUE_FLOOR)
     v = np.sort(v, axis=1) if direction == "increasing" else -np.sort(-v, axis=1)
     # fmax and fmin skip NaN, so each unused slot repeats the row's last value.
     v = (np.fmax if direction == "increasing" else np.fmin).accumulate(v, axis=1)
-    _check_rows(b, v, counts, direction)
-    return b, v, counts
+    _check_rows(b, v, 1 + np.count_nonzero(b < eps, axis=1), direction)
+    return b, v
 
 
 def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> list[MonotonePiecewiseLinear]:
@@ -246,5 +239,6 @@ def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> 
     in (0, eps) and positive values (floored at 1e-6) sorted to match
     ``direction``.  Identical seeds reproduce identical families.
     """
-    b, v, counts = _family_rows(seed, n, direction, segments)
-    return [MonotonePiecewiseLinear(bi[:c], vi[:c], direction) for bi, vi, c in zip(b, v, counts.tolist())]
+    b, v = _family_rows(seed, n, direction, segments)
+    ends = 1 + np.count_nonzero(b < b[:, -1:], axis=1)  # each row ends where its breakpoints reach eps
+    return [MonotonePiecewiseLinear(bi[:c], vi[:c], direction) for bi, vi, c in zip(b, v, ends.tolist())]

@@ -114,18 +114,16 @@ def _subtract(gaps: list[tuple[float, float]], a: float, b: float) -> float:
     j = i
     removed = 0.0
     replacement: list[tuple[float, float]] = []
+    # Every gap visited overlaps [a, b): it starts below b and, by the bisect, ends above a.
     while j < len(gaps) and gaps[j][0] < b:
         start, end = gaps[j]
         lo = a if start < a else start
         hi = b if end > b else end
-        if hi > lo:
-            removed += hi - lo
-            if start < a:
-                replacement.append((start, a))
-            if end > b:
-                replacement.append((b, end))
-        else:
-            replacement.append((start, end))
+        removed += hi - lo
+        if start < a:
+            replacement.append((start, a))
+        if end > b:
+            replacement.append((b, end))
         j += 1
     gaps[i:j] = replacement
     return removed

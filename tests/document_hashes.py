@@ -1,0 +1,56 @@
+"""Print a sha256 of every CLI document the goldens and the benchmark produce.
+
+One ``sha256 label`` line per document: each ``GOLDEN_CASES`` command,
+then each CLI operation of ``bench/workloads.build`` at seeds 1, 7 and
+101, at full and at smoke size.  A change that must not move any byte
+runs this before and after, and diffs the two outputs:
+
+    PYTHONPATH=src python tests/document_hashes.py > before.txt
+    (apply the change)
+    PYTHONPATH=src python tests/document_hashes.py > after.txt
+    diff before.txt after.txt
+
+Run from the repository root.  pytest does not collect this file.
+"""
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from arccover.cli import main
+
+TESTS = Path(__file__).parent
+sys.path.insert(0, str(TESTS))
+sys.path.insert(0, str(TESTS.parent / "bench"))
+from test_cli import GOLDEN_CASES  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
+
+SEEDS = (1, 7, 101)
+
+
+def document(argv) -> str:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        status = main(list(argv))
+    if status != 0:
+        raise SystemExit(f"{' '.join(argv)}: exited with {status}")
+    return buffer.getvalue()
+
+
+def commands():
+    """(label, argv) of every document, goldens first."""
+    for name, argv in sorted(GOLDEN_CASES.items()):
+        yield f"golden/{name}", argv
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for size, smoke in (("full", False), ("smoke", True)):
+                for op in build(workload, seed, smoke):
+                    if op.argv is not None:
+                        yield f"{workload}/seed{seed}/{size}/{op.label}", op.argv
+
+
+if __name__ == "__main__":
+    for label, argv in commands():
+        print(hashlib.sha256(document(argv).encode()).hexdigest(), label, flush=True)

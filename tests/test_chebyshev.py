@@ -273,9 +273,12 @@ def reference_sides(family):
 
 
 def assert_rows_equal(rows, family):
-    b, v, counts = rows
-    assert counts.tolist() == [fb.size for fb, _ in family]
-    for bi, vi, c, (fb, fv) in zip(b, v, counts, family):
+    """Each row, cut where its breakpoints reach eps, is the function; the rest is padding."""
+    b, v = rows
+    assert len(b) == len(v) == len(family)
+    for bi, vi, (fb, fv) in zip(b, v, family):
+        c = 1 + np.count_nonzero(bi < bi[-1])
+        assert c == fb.size
         assert bi[:c].tobytes() == fb.tobytes()
         assert vi[:c].tobytes() == fv.tobytes()
         assert (bi[c:] == fb[-1]).all() and (vi[c:] == fv[-1]).all()
@@ -356,6 +359,22 @@ class TestRowKernel:
         assert chebyshev._evaluate(*rows) == reference_sides(family)
 
 
+class TestPadding:
+    """A row ends where its breakpoints reach eps; more padding never changes a result."""
+
+    @pytest.mark.parametrize("direction", chebyshev.DIRECTIONS)
+    @pytest.mark.parametrize("n", [*range(1, 11), 24, 50, 100])
+    def test_wider_padding_changes_nothing(self, direction, n):
+        rng = np.random.default_rng(911 + n)
+        for _ in range(50 if n <= 10 else 4):
+            seed, segments = int(rng.integers(1 << 63)), int(rng.integers(1, 9))
+            b, v = chebyshev._family_rows(seed, n, direction, segments)
+            extra = int(rng.integers(1, 4))
+            wider_b = np.pad(b, ((0, 0), (0, extra)), mode="edge")
+            wider_v = np.pad(v, ((0, 0), (0, extra)), mode="edge")
+            assert chebyshev._evaluate(wider_b, wider_v) == chebyshev._evaluate(b, v)
+
+
 # ---------------------------------------------------------------------------
 # the shared product rule
 
@@ -403,6 +422,9 @@ class TestSharedRule:
             exact_lhs, exact_rhs = reference_sides(reference_family(seed, n, direction, segments))
             assert rhs == exact_rhs
             assert abs(lhs - exact_lhs) <= 1e-12 * exact_lhs
+            # The functions, cut and padded again to their own widest row, give the same bits.
+            result = check_inequality(random_monotone_family(seed, n, direction, segments))
+            assert (result.lhs, result.rhs) == (lhs, rhs)
 
     @pytest.mark.parametrize("direction", chebyshev.DIRECTIONS)
     def test_fifty_functions_match_mpmath(self, direction):
