@@ -18,9 +18,12 @@ _GL_TOLERANCE = decimal.Decimal("1e-30")
 # at roundoff above it on pieces sized by the log-drop.
 MAX_NODES = 12
 
+# Elements per block of compensated_cumsum: its three temporaries stay in cache.
+_SUM2_BLOCK = 1 << 14
 
-def compensated_cumsum(values) -> np.ndarray:
-    """Running sums of ``values``, each as if summed in twice the working precision.
+
+def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Running sums of ``values`` along ``axis``, each as if summed in twice the working precision.
 
     The cumulative form of Sum2 (Ogita, Rump & Oishi, "Accurate sum and
     dot product", SIAM J. Sci. Comput. 26(6), 2005): a plain float64
@@ -31,16 +34,32 @@ def compensated_cumsum(values) -> np.ndarray:
     A plain cumsum loses the slowly-shrinking tail of a long series
     (here, million-term length sums whose increments decay like 1/k);
     the compensated prefixes stay accurate to about an ulp.
+
+    The work runs in blocks of about _SUM2_BLOCK elements along ``axis``,
+    each block starting from the plain sum and the error sum that the
+    last one ended with, so the result has the bits of a single pass,
+    the temporaries stay cache-sized, and ``out`` may be ``values``
+    itself.  Every step is elementwise or a cumsum along ``axis``, so each
+    line of a 2-D array gets the bits of the 1-D call on that line.
     """
-    x = np.asarray(values, dtype=np.float64)
-    p = np.cumsum(x)
-    bv = p[1:] - p[:-1]
-    err = p[1:] - bv
-    np.subtract(p[:-1], err, out=err)
-    np.subtract(x[1:], bv, out=bv)
-    err += bv
-    p[1:] += np.cumsum(err, out=err)
-    return p
+    x = np.asarray(values, dtype=np.float64).swapaxes(0, axis)
+    result = np.empty(np.shape(values)) if out is None else out
+    p = result.swapaxes(0, axis)
+    total = error = np.zeros(x.shape[1:])
+    step = max(1, _SUM2_BLOCK // max(1, math.prod(x.shape[1:])))
+    for start in range(0, x.shape[0], step):
+        block = x[start:start + step]
+        sums = np.cumsum(np.concatenate((total[None], block)), axis=0)
+        bv = sums[1:] - sums[:-1]
+        err = sums[1:] - bv
+        np.subtract(sums[:-1], err, out=err)
+        np.subtract(block, bv, out=bv)
+        err += bv
+        err[0] += error
+        np.cumsum(err, axis=0, out=err)
+        total, error = sums[-1], err[-1]
+        np.add(sums[1:], err, out=p[start:start + step])
+    return result
 
 
 # The benchmark's tracer (bench/tracing.py) times this layer under its old name.

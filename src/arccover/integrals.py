@@ -12,7 +12,9 @@ squared single-point avoidance probability.  This module evaluates
 * the product integral  I_n = integral_0^eps  prod_k f_{l_k}(t) dt
   to roundoff by ``_accum.product_rule``, shared with ``chebyshev``, on
   the distinct lengths below eps: exact up to degree 23, and a 12-node
-  rule on short pieces above it, O(n) points of O(n) work each,
+  rule on short pieces above it.  Its O(n) points cost O(n) work each by
+  the direct sum, or O(P) each by power sums about a few centres, P
+  about 16, whichever costs less,
 * the Chebyshev-route lower bound  eps**(1-n) * prod_k integral(f_{l_k})
   and its certificate decomposition through the growth function
 
@@ -24,8 +26,9 @@ squared single-point avoidance probability.  This module evaluates
   sum(l_k**2) diverges,
 * Shepp's covering criterion series  sum_n n**(-2) * exp(l_1 + ... + l_n).
 
-Cumulative sums (length prefixes, flat-factor prefixes) are compensated
-with the cumulative form of Sum2 (``_accum.compensated_cumsum``).
+Cumulative sums (length prefixes, flat-factor and power-sum prefixes)
+are compensated with the cumulative form of Sum2
+(``_accum.compensated_cumsum``).
 
 All reals are 64-bit floats and all log values are natural logs.
 Everything is a pure function of its inputs and safe to call
@@ -39,15 +42,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import compensated_cumsum, log_sum_exp, product_rule
+from ._accum import MAX_NODES, compensated_cumsum, log_sum_exp, product_rule
 from .sequences import LengthSequence, as_lengths, check_window, epsilon_window, generate
 
-# Points-times-factors evaluations are chunked to bound peak memory; a
-# 512 KiB block also stays in cache through the five passes over it.
+# Both ways of evaluating the log-integrand work in chunks that bound peak
+# memory; a block of at most 512 KiB also stays in cache through the passes
+# over it.
 _CHUNK_ELEMENTS = 1 << 16
 
+# The centred expansion keeps every |x - c| / r at most _RHO and cuts each
+# factor's series after _ORDER terms, where its geometric tail
+# _RHO**(_ORDER+1) / (1 - _RHO) is below 2**-53.
+_RHO = 0.1
+_ORDER = next(p for p in range(1, 64) if _RHO ** (p + 1) / (1.0 - _RHO) < 2.0**-53)
+
+# The costs that choose between the two ways, in units of one active term of
+# the direct sum (minimum, subtract, divide, log1p, sum: about 8 ns on a
+# 2-core x86-64 VM).  One prefix term of the expansion costs 5, since its
+# Sum2 runs two cumsums, which add in sequence; one coefficient of one point
+# costs 0.5 (gather, multiply, add); the expansion's fixed cost, some 80 more
+# numpy calls, is 20000.
+_PREFIX_COST = 5
+_COEFFICIENT_COST = 0.5
+_EXPANSION_SETUP = 20000
+
 # divergence_table's (and --quadrature-cap's) default largest n for quadrature.
-DEFAULT_QUADRATURE_CAP = 2000
+DEFAULT_QUADRATURE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -163,32 +183,126 @@ def pair_factor_integral(l: float, eps: float) -> float:
 # ---------------------------------------------------------------------------
 # product integral
 
-def _log_integrand(lengths: np.ndarray, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log prod_k f_{l_k}(x) at the ascending points ``x``, in cache-sized chunks.
+class _LogIntegrand:
+    """log prod_k f_{l_k}(x) at points x of [0, eps], by whichever of two ways costs less.
 
-    ``flat[j]`` is the compensated sum of the constants
-    log1p(-(l/(1 - l))**2) over the j smallest lengths, so a chunk
-    evaluates only the d factors with l_k > its first point, as
-    log1p((l - l**2 - min(l, x)) / (1 - l)**2); the min turns a factor
-    that goes flat inside the chunk into its constant.
+    At x the factors with l_k <= x are flat: ``flat[j]`` is the
+    compensated sum of their constants log1p(-(l/(1 - l))**2) over the j
+    smallest lengths.  The d factors of the d largest lengths are active,
+    each log1p((l - l**2 - x)/(1 - l)**2).
+
+    ``direct`` sums the d active terms at every point.  ``expanded``
+    writes each as log1p((l - l**2 - c)/(1 - l)**2) + log(1 - (x - c)/r),
+    with c the nearest of k centres and r = 1 - l - c, and cuts the
+    series of the second log after P = _ORDER terms.  The active sum is
+    then A_c[d] - sum_p u**p * S_{p,c}[d] with u = (x - c)/h, h half the
+    centre spacing: A_c and S_{p,c} are prefix sums over the lengths of
+    the first log and of (h/r)**p / p.  This is the 1-D analogue of the
+    multipole expansion (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).
+
+    A call costs sum(d) term evaluations the direct way, and P + 1
+    coefficients a point the expanded way, plus the k*(P + 1)*n prefix
+    terms the first time; it takes the cheaper, at the weights above.
+    ``ahead`` counts further calls of as many points that will follow
+    and may reuse the prefixes: the product rule's nodes, after it
+    evaluates the breakpoints.
     """
-    n = lengths.size
-    ascending = lengths[::-1]
-    head = lengths - lengths * lengths
-    scale = np.square(1.0 - lengths)
-    out = np.empty_like(x)
-    start = 0
-    while start < x.size:
-        flat_count = int(np.searchsorted(ascending, x[start], side="right"))
-        d = n - flat_count
-        stop = start + max(1, _CHUNK_ELEMENTS // max(d, 1))
-        block = np.minimum(lengths[:d], x[start:stop, None])
-        np.subtract(head[:d], block, out=block)
-        block /= scale[:d]
-        np.log1p(block, out=block)
-        out[start:stop] = block.sum(axis=1) + flat[flat_count]
-        start = stop
-    return out
+
+    def __init__(self, lengths: np.ndarray, eps: float):
+        self.lengths, self.n = lengths, lengths.size
+        self.ascending = lengths[::-1]
+        # Only lengths <= eps are ever flat on the window, and those are below
+        # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
+        small = self.ascending[:np.count_nonzero(lengths <= eps)]
+        self.flat = np.concatenate(([0.0], compensated_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
+        # 0, the distinct lengths below eps, and eps: segments of positive
+        # width, with the integrand one polynomial on each.
+        self.breakpoints = np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
+        self.degree = self.active(self.breakpoints[:-1])
+        # k centres (i + 1/2) * 2h with h <= _RHO * (1 - l_1 - eps), the least
+        # r of any factor, so |x - c| / r <= _RHO for the nearest centre c.
+        l1 = float(lengths[0]) if self.n else 0.0
+        self.centres = math.ceil(eps / (2.0 * _RHO * (1.0 - l1 - eps)))
+        self.spacing = eps / self.centres
+        self.prefixes = None
+
+    def active(self, x: np.ndarray) -> np.ndarray:
+        """The number d of active factors, l_k > x, at each point."""
+        return self.n - np.searchsorted(self.ascending, x, side="right")
+
+    def __call__(self, x: np.ndarray, ahead: int = 0) -> np.ndarray:
+        """The log-integrand at the points ``x``, the cheaper way."""
+        repeat = 1 + ahead
+        cost = repeat * _COEFFICIENT_COST * (_ORDER + 1) * x.size
+        if self.prefixes is None:
+            cost += _EXPANSION_SETUP + _PREFIX_COST * self.centres * (_ORDER + 1) * self.n
+        # n a point bounds the direct cost, and saves counting d for short sequences.
+        if repeat * self.n * x.size > cost and repeat * self.active(x).sum() > cost:
+            return self.expanded(x)
+        return self.direct(x)
+
+    def direct(self, x: np.ndarray) -> np.ndarray:
+        """The log-integrand at the ascending points ``x`` term by term, in cache-sized chunks.
+
+        A chunk evaluates the d factors active at its first point; the
+        min turns a factor that goes flat inside the chunk into its
+        constant.
+        """
+        lengths = self.lengths
+        head = lengths - lengths * lengths
+        scale = np.square(1.0 - lengths)
+        out = np.empty_like(x)
+        start = 0
+        while start < x.size:
+            d = int(self.active(x[start]))
+            stop = start + max(1, _CHUNK_ELEMENTS // max(d, 1))
+            block = np.minimum(lengths[:d], x[start:stop, None])
+            np.subtract(head[:d], block, out=block)
+            block /= scale[:d]
+            np.log1p(block, out=block)
+            out[start:stop] = block.sum(axis=1) + self.flat[self.n - d]
+            start = stop
+        return out
+
+    def expanded(self, x: np.ndarray) -> np.ndarray:
+        """The log-integrand at the points ``x`` by the centred expansion, in cache-sized chunks."""
+        if self.prefixes is None:
+            self.prefixes = self._build_prefixes()
+        h = 0.5 * self.spacing
+        out = np.empty_like(x)
+        # Half the direct sum's block, as the prefix table is held as well.
+        step = _CHUNK_ELEMENTS // (2 * (_ORDER + 1))
+        for start in range(0, x.size, step):
+            t = x[start:start + step]
+            d = self.active(t)
+            c = np.minimum((t / self.spacing).astype(np.intp), self.centres - 1)
+            u = (t - (c + 0.5) * self.spacing) / h
+            coef = self.prefixes[d, c]
+            poly = coef[:, _ORDER] * u
+            for p in range(_ORDER - 1, 0, -1):
+                poly += coef[:, p]
+                poly *= u
+            out[start:start + step] = self.flat[self.n - d] + coef[:, 0] - poly
+        return out
+
+    def _build_prefixes(self) -> np.ndarray:
+        """prefixes[d, i] = (A, S_1, ..., S_P) of centre i over the d largest lengths: one 2-D Sum2.
+
+        Plain cumsum prefixes would move log I_n by some 6e-12 at n = 2*10**4.
+        """
+        lengths = self.lengths[:, None]
+        centres = (np.arange(self.centres) + 0.5) * self.spacing
+        terms = np.zeros((self.n + 1, self.centres, _ORDER + 1))
+        first = terms[1:, :, 0]
+        np.subtract(lengths - lengths * lengths, centres, out=first)
+        first /= np.square(1.0 - lengths)
+        np.log1p(first, out=first)
+        ratio = 0.5 * self.spacing / (1.0 - lengths - centres)
+        power = ratio.copy()
+        for p in range(1, _ORDER + 1):
+            np.divide(power, p, out=terms[1:, :, p])
+            power *= ratio
+        return compensated_cumsum(terms, axis=0, out=terms)
 
 
 def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = None) -> QuadratureResult:
@@ -202,26 +316,24 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     ceil((n+1)/2) integrates every segment exactly in one piece.  Values
     are exp(sum of logs), combined by log-sum-exp, so ``log_value``
     stays accurate when ``value`` overflows.
+
+    The O(n) points cost O(n) work each by the direct sum, or O(P) each
+    after O(k*P*n) prefix sums by the centred expansion of
+    ``_LogIntegrand``, P about 16 and k the centres, a handful unless
+    the roots 1 - l_k come close to the window.  Each call of the
+    log-integrand takes the cheaper: the direct sum for a few dozen
+    lengths, the expansion from a few hundred.
     """
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
-    n = int(lengths.size)
-
-    # Only lengths <= eps are ever flat on the window, and those are below
-    # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
-    ascending = lengths[::-1]
-    small = ascending[:np.count_nonzero(lengths <= eps)]
-    flat = np.concatenate(([0.0], compensated_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
-
-    # 0, the distinct lengths below eps, and eps: segments of positive
-    # width, with the integrand one polynomial on each.
-    pts = np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
-    degree = n - np.searchsorted(ascending, pts[:-1], side="right")
-    x, w, nodes, pieces = product_rule(pts, degree, lambda t: _log_integrand(lengths, flat, t), nodes_per_segment)
-    if n == 0:
+    log_integrand = _LogIntegrand(lengths, eps)
+    ahead = MAX_NODES if nodes_per_segment is None else nodes_per_segment
+    x, w, nodes, pieces = product_rule(log_integrand.breakpoints, log_integrand.degree,
+                                       lambda t: log_integrand(t, ahead), nodes_per_segment)
+    if lengths.size == 0:
         return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
-    log_value = log_sum_exp(_log_integrand(lengths, flat, x), w)
+    log_value = log_sum_exp(log_integrand(x), w)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
     return QuadratureResult(value=value, log_value=log_value, segment_count=pieces, nodes_per_segment=nodes)
@@ -269,8 +381,11 @@ def growth_derivative_probe(eps: float) -> GrowthDerivatives:
 def _certificate(lengths: np.ndarray, eps: float) -> LowerBoundCertificate:
     # A tail length's integral(f_l) = eps * g_eps(l): its eps cancels one of
     # eps**(1-n) before any rounding, so only the m head terms keep theirs.
+    # The head lengths are l >= eps, checked against the window already:
+    # pair_factor_integral's l >= eps branch, without its checks.
     m = int(np.count_nonzero(lengths >= eps))
-    head = math.fsum(math.log(pair_factor_integral(v, eps)) for v in lengths[:m])
+    half_eps_sq = 0.5 * eps * eps
+    head = math.fsum(math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in lengths[:m].tolist())
     log_c = (1.0 - m) * math.log(eps) + head
     # log g by the exact identity g - 1 = x^2 (1-2 eps) / (2 eps (1-x)^2), whose
     # log1p keeps each term exactly nonnegative for eps <= 1/2.  In place, and
@@ -325,9 +440,10 @@ def divergence_table(
 ) -> list[DivergenceRow]:
     """Lower-bound certificates (and exact quadrature where affordable) at checkpoints.
 
-    Quadrature costs O(n) points of O(n) work each, so
-    ``log_product_integral`` is evaluated only for n <= quadrature_cap;
-    the certificate costs O(n) and is always reported.
+    ``log_product_integral`` is evaluated only for n <= quadrature_cap:
+    quadrature costs O(n) points of O(P) work each after O(k*P*n) prefix
+    sums (see ``product_integral``), 0.06 s at n = 10**4 for the README
+    sequence on a 2-core x86-64 VM.  The certificate costs O(n) and is always reported.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
@@ -369,7 +485,8 @@ def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     # In place: at N = 10**6 each full-length temporary is 8 MB.
-    log_terms = compensated_cumsum(generate(seq, N))
+    lengths = generate(seq, N)
+    log_terms = compensated_cumsum(lengths, out=lengths)
     log_n = np.log(np.arange(1, N + 1, dtype=np.float64))
     log_terms -= np.multiply(2.0, log_n, out=log_n)
     del log_n

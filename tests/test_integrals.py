@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arccover import integrals
 from arccover._accum import MAX_NODES, compensated_cumsum, gauss_legendre, log_sum_exp, product_rule
+from arccover.cli import main
 from arccover.integrals import (
     chebyshev_lower_bound,
     criterion_partial_sums,
@@ -219,6 +221,33 @@ class TestCompensatedCumsum:
             values = -np.abs(values)
         np.testing.assert_array_equal(compensated_cumsum(values), self.two_sum_prefix(values))
 
+    def test_blocks_and_in_place_keep_the_bits(self):
+        # 40000 terms run as three blocks, which must carry both running sums.
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(40000) * 10.0 ** rng.uniform(-8, 8, 40000)
+        expected = self.two_sum_prefix(values)
+        np.testing.assert_array_equal(compensated_cumsum(values), expected)
+        same = values.copy()
+        assert compensated_cumsum(same, out=same) is same
+        np.testing.assert_array_equal(same, expected)
+
+    def test_each_line_matches_the_one_dimensional_call(self):
+        # Rows of mixed scales and signs, summed along either axis, and the
+        # (n + 1, centres, coefficients) layout of the power-sum prefixes.
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((7, 3000)) * 10.0 ** rng.uniform(-8, 8, (7, 3000))
+        by_row = compensated_cumsum(rows, axis=1)
+        by_column = compensated_cumsum(np.ascontiguousarray(rows.T), axis=0)
+        for i, row in enumerate(rows):
+            one = compensated_cumsum(row)
+            np.testing.assert_array_equal(by_row[i], one)
+            np.testing.assert_array_equal(by_column[:, i], one)
+        cube = rng.standard_normal((1001, 5, 17))  # 85 lines in 8 blocks
+        prefixes = compensated_cumsum(cube, axis=0)
+        for i in range(5):
+            for p in range(17):
+                np.testing.assert_array_equal(prefixes[:, i, p], compensated_cumsum(cube[:, i, p]))
+
     def test_cumsum_adds_in_sequence(self):
         # Sum2 takes the error of p[i-1] + x[i], so np.cumsum must add in
         # that order: summed in sequence each tiny term is lost against 1,
@@ -397,6 +426,115 @@ class TestProductIntegral:
         assert rule_orders and max(rule_orders) <= MAX_NODES
 
 
+def mp_log_integrand(mpmath, lengths, points) -> list:
+    """log prod_k f_{l_k}(x) at each of ``points``, the products taken in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        ls = [mpmath.mpf(v) for v in lengths.tolist()]
+        log_scale = mpmath.log(mpmath.fprod((1 - v) ** 2 for v in ls))
+        out = []
+        for x in points:
+            t = mpmath.mpf(float(x))
+            out.append(float(mpmath.log(mpmath.fprod(1 - v - min(v, t) for v in ls)) - log_scale))
+        return out
+
+
+def rule_points(lengths, eps):
+    """A _LogIntegrand and the breakpoints and nodes of product_integral's rule, with the weights."""
+    log_integrand = integrals._LogIntegrand(lengths, eps)
+    x, w, _, _ = product_rule(log_integrand.breakpoints, log_integrand.degree, log_integrand.direct)
+    return log_integrand, log_integrand.breakpoints, x, w
+
+
+class TestExpansion:
+    """The centred power-sum expansion of the log-integrand against the direct sum and mpmath."""
+
+    @pytest.mark.parametrize("n", [50, 300, 1000])
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.constant(0.3),
+        LengthSequence.harmonic(c=1, cap=0.49),
+        LengthSequence.inverse_sqrt(c=1, cap=0.49),
+        LengthSequence.power_decay(c=1, alpha=0.75, cap=0.49),
+    ], ids=["constant", "harmonic", "inverse-sqrt", "power-decay"])
+    def test_agrees_with_direct_sum(self, seq, n):
+        self.assert_ways_agree(generate(seq, n), 0.25)
+
+    @pytest.mark.parametrize("l, eps", [(0.98, 0.019), (0.95, 0.045)])
+    def test_agrees_with_direct_sum_near_the_roots(self, l, eps):
+        # 95 and 45 centres: the roots 1 - l are 0.001 and 0.005 past the window.
+        self.assert_ways_agree(np.full(200, l), eps)
+
+    @staticmethod
+    def assert_ways_agree(lengths, eps):
+        log_integrand, breakpoints, x, w = rule_points(lengths, eps)
+        for points in (breakpoints, x):
+            direct = log_integrand.direct(points)
+            expanded = log_integrand.expanded(points)
+            assert np.all(np.abs(expanded - direct) <= 1e-13 * np.maximum(1.0, np.abs(direct)))
+        assert abs(log_sum_exp(log_integrand.expanded(x), w) - log_sum_exp(log_integrand.direct(x), w)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [10**4, 2 * 10**4], ids=["readme-10000", "20000"])
+    def test_log_integrand_at_sampled_nodes_matches_mpmath(self, n, monkeypatch, capsys):
+        # n = 10**4 is the README divergence checkpoint, run through the CLI;
+        # the values checked are those the quadrature sums.
+        mpmath = pytest.importorskip("mpmath")
+        seen = {}
+        rule, combine = integrals.product_rule, integrals.log_sum_exp
+
+        def spy_rule(*args):
+            out = rule(*args)
+            seen["x"] = out[0]
+            return out
+
+        def spy_combine(log_terms, weights):
+            seen["log_terms"] = log_terms
+            seen["log_value"] = combine(log_terms, weights)
+            return seen["log_value"]
+
+        monkeypatch.setattr(integrals, "product_rule", spy_rule)
+        monkeypatch.setattr(integrals, "log_sum_exp", spy_combine)
+        lengths = generate(LengthSequence.inverse_sqrt(c=1, cap=0.49), n)
+        if n == 10**4:
+            assert main(["divergence", "--seq", "inverse-sqrt:c=1,cap=0.49", "--eps", "0.25",
+                         "--checkpoints", "10,100,1000,10000", "--format", "csv"]) == 0
+            n_cell, log_pi, bound_log, _ = capsys.readouterr().out.splitlines()[-1].split(",")
+            assert n_cell == "10000"
+            assert float(log_pi) == seen["log_value"] > float(bound_log)
+        else:
+            product_integral(lengths, 0.25)
+        sample = np.linspace(0, seen["x"].size - 1, 12).astype(int)
+        oracle = mp_log_integrand(mpmath, lengths, seen["x"][sample])
+        np.testing.assert_allclose(seen["log_terms"][sample], oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seq, n", [
+        (LengthSequence.inverse_sqrt(c=1, cap=0.49), 2 * 10**4),
+        (LengthSequence.harmonic(c=1, cap=0.49), 300),
+    ], ids=["inverse-sqrt-20000", "harmonic-300"])
+    def test_long_sequences_take_the_expansion(self, seq, n, monkeypatch):
+        # Breakpoints included: the rule's nodes reuse the prefixes built for them.
+        def no_direct(self, x):
+            raise AssertionError("a long sequence must not take the direct sum")
+
+        monkeypatch.setattr(integrals._LogIntegrand, "direct", no_direct)
+        assert math.isfinite(product_integral(generate(seq, n), 0.25).log_value)
+
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.constant(0.3),
+        LengthSequence.harmonic(c=1, cap=0.49),
+        LengthSequence.inverse_sqrt(c=1, cap=0.49),
+        LengthSequence.power_decay(c=1, alpha=0.75, cap=0.49),
+    ], ids=["constant", "harmonic", "inverse-sqrt", "power-decay"])
+    def test_short_sequences_keep_the_direct_sum(self, seq, monkeypatch):
+        # A few dozen lengths cost less term by term than the expansion's
+        # set-up, and keep the bits they had before it.
+        def no_expansion(self, x):
+            raise AssertionError("n <= 50 must take the direct sum")
+
+        monkeypatch.setattr(integrals._LogIntegrand, "expanded", no_expansion)
+        for n in (5, 20, 50):
+            for eps in (0.05, 0.15, 0.3, 0.45):
+                product_integral(generate(seq, n), eps)
+
+
 class TestProductRule:
     def test_low_degree_is_one_piece_without_the_log_integrand(self):
         def never(x):
@@ -527,6 +665,14 @@ class TestLowerBound:
         cert = shepp_lower_bound([0.2, 0.1], 0.3)
         assert cert.m == 0
         assert cert.log_C == math.log(0.3)
+
+    def test_head_term_is_log_of_pair_factor_integral(self):
+        # One head length: log_C is its term alone, and must have the bits
+        # of pair_factor_integral, (1 - l)**2 included.  Among 5000 lengths
+        # some squares differ from (1 - l)*(1 - l).
+        eps = 0.05
+        for l in np.random.default_rng(3).uniform(eps, 0.49, 5000).tolist():
+            assert shepp_lower_bound([l], eps).log_C == math.log(pair_factor_integral(l, eps)), l
 
     def test_split_head_and_tail(self):
         cert = shepp_lower_bound([0.4, 0.1], 0.3)
