@@ -186,7 +186,7 @@ def first_cover_index(seq: LengthSequence, seed: int, n_max: int) -> int | None:
 # sort-and-sweep over many replications
 
 # Pieces (replications x arcs) held at once; bounds the sweep's arrays
-# and the stream kernel's temporaries to a few MiB each.
+# to a few MiB each (the stream kernel works in smaller tiles of its own).
 _SWEEP_BUDGET = 1 << 18
 # The first prefix swept; each later one is _PREFIX_GROWTH times longer,
 # until a prefix would reach n / _PREFIX_GROWTH and the sweep takes all n
@@ -247,11 +247,15 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
     return out
 
 
+# Replication r draws from spawn key (r,), one 32-bit entropy word.
+_MAX_REPS = 1 << 32
+
+
 def _check_run_args(n: int, reps: int, seed: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= reps <= _MAX_REPS:
+        raise ValueError(f"reps must lie in 1..2**32, got {reps}")
     return check_seed(seed)
 
 
@@ -313,31 +317,98 @@ def pair_uncovered_exact(lengths, t: float) -> float:
     return float(math.exp(math.fsum(np.log(factors).tolist())))
 
 
+# Centres of a uniform draw sit on the grid k * 2**-53, k = word >> 11.
+_GRID_BITS = 53
+_DISCARDED_BITS = 64 - _GRID_BITS
+# Words drawn and tested at once by pair_uncovered_mc: 512 KiB of them, so
+# the draw and the range tests reuse them from cache.
+_PAIR_CHUNK = 1 << 16
+
+
+def _misses_both(centers: np.ndarray, lengths: np.ndarray, t: float) -> np.ndarray:
+    """Whether the arc of each length at each centre misses both 0 and t.
+
+    Arc k at u misses x iff (x - u) mod 1 >= l_k; the mod is taken by hand,
+    with the same roundings as numpy's float ``%``: for x = 0 it is 1 - u
+    unless u == 0, and for x = t it is t - u, plus 1 when negative.
+    """
+    to_t = t - centers
+    np.add(to_t, 1.0, out=to_t, where=to_t < 0.0)
+    return (to_t >= lengths) & (centers > 0.0) & (1.0 - centers >= lengths)
+
+
+def _last_miss_guess(lengths: np.ndarray, t: float) -> np.ndarray:
+    """Where each half's misses end for real-valued centres: k = (t - l) * 2**53
+    and (1 - l) * 2**53, rounded down, shape (2, n).
+
+    The float predicate's roundings move each end by a few k at most; over
+    30,000 sampled thresholds the exact end was the guess or the k below.
+    """
+    return np.floor(np.stack((t - lengths, 1.0 - lengths)) * 2.0**_GRID_BITS).astype(np.int64)
+
+
+def _miss_words(lengths: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raw Philox words whose centre misses both 0 and t, per arc: two ranges each.
+
+    A word w is the centre u = k * 2**-53 with k = w >> 11, as
+    ``Generator.random`` makes it.  On k <= t * 2**53 (no wrap to add)
+    and on k above it (1 added), every condition of ``_misses_both`` is
+    monotone in u: IEEE rounding is monotone and ``1 - u`` is exact on the
+    grid.  So each half holds a prefix of misses, (0, a] and (k_t, b],
+    found by bisection on the float predicate itself.  The bisection
+    starts from 2 k either side of ``_last_miss_guess``; where the
+    predicate shows that this bracket does not hold, from the whole half.
+    Returns ``starts`` of shape (2, 1) and ``widths`` of shape (2, n):
+    word w misses in range i iff ``w - starts[i] < widths[i]`` in
+    wrapping uint64 arithmetic.
+    """
+    k_t = int(t * 2.0**_GRID_BITS)
+    first = np.array([[1], [k_t + 1]], dtype=np.int64)
+    last = np.array([[k_t], [(1 << _GRID_BITS) - 1]], dtype=np.int64)
+    guess = _last_miss_guess(lengths, t)
+    lo = np.clip(guess - 2, first - 1, last)
+    hi = np.clip(guess + 2, first, last + 1)
+    # Invariant: k = lo misses or lies before the half; k = hi does not miss
+    # or lies past it.  Where the bracket breaks it, take the whole half.
+    held = (((lo < first) | _misses_both(lo * 2.0**-_GRID_BITS, lengths, t))
+            & ((hi > last) | ~_misses_both(hi * 2.0**-_GRID_BITS, lengths, t)))
+    lo = np.where(held, lo, first - 1)
+    hi = np.where(held, hi, last + 1)
+    while np.any(step := hi - lo > 1):
+        mid = (lo + hi) // 2
+        miss = _misses_both(mid * 2.0**-_GRID_BITS, lengths, t)
+        lo = np.where(step & miss, mid, lo)
+        hi = np.where(step & ~miss, mid, hi)
+    shift = np.uint64(_DISCARDED_BITS)
+    return first.astype(np.uint64) << shift, (lo - first + 1).astype(np.uint64) << shift
+
+
 def pair_uncovered_mc(lengths, t: float, reps: int, seed: int) -> SimulationResult:
     """Monte Carlo frequency of {0 uncovered and t uncovered} after all arcs.
 
     Vectorized over replications from a single counter-based Philox
     stream (there is no parallel execution to split across);
-    deterministic in seed.  Arc k at u misses x iff (x - u) mod 1 >= l_k;
-    the mod is taken by hand, with the same roundings as numpy's float
-    ``%``: for x = 0 it is 1 - u unless u == 0, and for x = t it is
-    t - u, plus 1 when negative.
+    deterministic in seed.  Row r of the stream's words holds the arcs
+    of replication r, as ``Generator.random`` would give them as
+    centres.  Whether a word's centre misses both points is decided on
+    the raw word, by the integer ranges of ``_miss_words``: the same
+    decision as the float predicate ``_misses_both`` on every centre.
     """
     arr, t = _check_pair_args(lengths, t)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     seed = check_seed(seed)
     n = int(arr.size)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    if n == 0:
+        return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=0, covered_count=reps)
+    bitgen = np.random.Philox(np.random.SeedSequence(entropy=seed))
+    starts, widths = _miss_words(arr, t)
     count = 0
-    chunk = max(1, (1 << 20) // max(n, 1))
-    remaining = reps
-    while remaining > 0:
-        rows = min(chunk, remaining)
-        centers = rng.random((rows, n))
-        to_t = t - centers
-        np.add(to_t, 1.0, out=to_t, where=to_t < 0.0)
-        miss = (to_t >= arr) & (centers > 0.0) & (1.0 - centers >= arr)
+    chunk = max(1, _PAIR_CHUNK // n)
+    for first in range(0, reps, chunk):
+        words = bitgen.random_raw((min(chunk, reps - first), n))
+        miss = words - starts[0] < widths[0]
+        words -= starts[1]
+        miss |= words < widths[1]
         count += int(np.count_nonzero(miss.all(axis=1)))
-        remaining -= rows
     return SimulationResult.from_counts(seed=seed, replications=reps, n_arcs=n, covered_count=count)

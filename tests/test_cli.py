@@ -120,6 +120,54 @@ def test_module_entry_point(tmp_path):
     assert a.stdout == (GOLDEN_DIR / "criterion.csv").read_text()
 
 
+# Environment switches that make a process pick other CPU kernels, as it
+# would on a CPU without AVX-512 or FMA, and the goldens each is known to
+# move: numpy's AVX-512 float64 log/exp reach the divergence table, and
+# glibc's FMA libm reaches the 1,000-trial inequality check through
+# `eps ** (n - 1)`.  Names numpy does not dispatch on are ignored with an
+# ImportWarning, so one list serves every numpy release and CPU.
+KERNEL_SWITCHES = {
+    "numpy-without-avx512": (
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX AVX512_SKX "
+                                     "AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ X86_V4"},
+        {"divergence.csv", "divergence.json"},
+    ),
+    "glibc-without-fma": (
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F,-AVX2_Usable,-FMA_Usable"},
+        {"inequality_check_readme.csv", "inequality_check_readme.json"},
+    ),
+}
+
+# Reads {name: argv} on stdin and writes {name: document or null} on stdout.
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from arccover.cli import main
+docs = {}
+for name, argv in json.load(sys.stdin).items():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main(argv)
+    docs[name] = buffer.getvalue() if status == 0 else None
+json.dump(docs, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("switch", sorted(KERNEL_SWITCHES))
+def test_other_cpu_kernels_move_only_known_goldens(switch, tmp_path):
+    # Monte Carlo decides on integer words and float basic operations, so
+    # no kernel choice may reach the simulate and pair-probe documents.
+    variables, known = KERNEL_SWITCHES[switch]
+    proc = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", RUN_COMMANDS],
+                          input=json.dumps(GOLDEN_CASES), capture_output=True, text=True,
+                          cwd=tmp_path, env={**subprocess_env(), **variables}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    docs = json.loads(proc.stdout)
+    assert sorted(docs) == sorted(GOLDEN_CASES)
+    assert [name for name, doc in docs.items() if doc is None] == []
+    moved = {name for name, doc in docs.items() if doc != (GOLDEN_DIR / name).read_text()}
+    assert moved <= known
+
+
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 

@@ -1,15 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arccover import covering
 from arccover._philox import uniforms
 from arccover.covering import (
     Arc,
     GapSet,
+    _check_run_args,
     _first_cover,
+    _miss_words,
     _subtract,
     _arc_pieces,
     _uncovered_measure,
@@ -210,6 +214,117 @@ class TestPairUncovered:
         assert a == b
 
 
+def float_misses(centers, lengths, t):
+    """The float predicate pair_uncovered_mc applied to every centre before it
+    decided on raw words: (x - u) mod 1 >= l for x = 0 and x = t."""
+    to_t = t - centers
+    np.add(to_t, 1.0, out=to_t, where=to_t < 0.0)
+    return (to_t >= lengths) & (centers > 0.0) & (1.0 - centers >= lengths)
+
+
+def float_pair_count(lengths, t, reps, seed) -> int:
+    """Replications whose arcs all miss 0 and t, decided on ``Generator.random`` centres."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    return int(np.count_nonzero(float_misses(rng.random((reps, lengths.size)), lengths, t).all(axis=1)))
+
+
+def below(x: float, ulps: int) -> float:
+    for _ in range(ulps):
+        x = float(np.nextafter(x, 0.0))
+    return x
+
+
+def pair_cases(kind: str, count: int, seed: int):
+    """(lengths, t) pairs inside the validity window t < 1 - max(lengths)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        if kind == "t-below-lengths":
+            t = rng.uniform(1e-3, 0.3)
+            lengths = [rng.uniform(t, 1.0 - t) for _ in range(n)]
+        elif kind == "t-above-lengths":
+            t = rng.uniform(0.05, 0.6)
+            lengths = [rng.uniform(1e-3, min(t, 1.0 - t)) for _ in range(n)]
+        elif kind == "lengths-near-1-t":
+            t = rng.uniform(0.01, 0.9)
+            lengths = [below(1.0 - t, rng.randint(1, 4)) for _ in range(n)]
+            lengths[0] = rng.uniform(1e-3, 1.0 - t)
+        else:  # tiny-t
+            t = rng.choice([5e-324, 2.0**-60, 2.0**-53, 3 * 2.0**-54, 1e-17, 1e-12])
+            lengths = [rng.uniform(1e-3, 0.999) for _ in range(n)]
+        lengths = [l if 0.0 < l and t < 1.0 - l else rng.uniform(1e-3, 0.5 * (1.0 - t)) for l in lengths]
+        yield lengths, t
+
+
+PAIR_KINDS = ("t-below-lengths", "t-above-lengths", "lengths-near-1-t", "tiny-t")
+
+
+class TestPairRawWords:
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_counts_equal_the_float_predicate(self, kind):
+        # 4 kinds x 60 cases, each with its own seed and replication count.
+        for i, (lengths, t) in enumerate(pair_cases(kind, 60, seed=PAIR_KINDS.index(kind))):
+            reps = 1 + (37 * i) % 400
+            result = pair_uncovered_mc(lengths, t, reps, seed=1000 + i)
+            assert result.covered_count == float_pair_count(lengths, t, reps, 1000 + i), (lengths, t)
+
+    def test_chunk_boundaries_keep_the_row_order(self, monkeypatch):
+        lengths, t = [0.2, 0.1, 0.05], 0.15
+        for reps in (4999, 5000, 5001):
+            assert pair_uncovered_mc(lengths, t, reps, 3).covered_count == float_pair_count(lengths, t, reps, 3)
+        # Two rows a chunk, and a last chunk of one row.
+        monkeypatch.setattr(covering, "_PAIR_CHUNK", 7)
+        assert pair_uncovered_mc(lengths, t, 101, 3).covered_count == float_pair_count(lengths, t, 101, 3)
+        # More arcs than the chunk holds: one row a chunk.
+        lengths = generate(LengthSequence.harmonic(c=0.3, cap=0.99), 40)
+        t = 0.0873
+        assert pair_uncovered_mc(lengths, t, 57, 8).covered_count == float_pair_count(lengths, t, 57, 8)
+
+    def test_no_arcs_draw_nothing(self, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("no arc, no draw")
+
+        monkeypatch.setattr(np.random, "Philox", no_stream)
+        result = pair_uncovered_mc([], 0.3, 77, 4)
+        assert result.covered_count == 77 and result.n_arcs == 0
+
+    # A guess 5 k off either way puts the bracket past the threshold, so
+    # the bisection must notice and search the whole half instead.
+    @pytest.mark.parametrize("shift", [0, -5, 5], ids=["guess", "guess-low", "guess-high"])
+    def test_thresholds_agree_with_the_float_predicate_at_every_edge(self, shift, monkeypatch):
+        # Each range's first and last k and the k either side of them, at
+        # both ends of the word span that shifts to each k: the word ranges
+        # must decide as the float predicate does on k * 2**-53.
+        guess = covering._last_miss_guess
+        monkeypatch.setattr(covering, "_last_miss_guess", lambda lengths, t: guess(lengths, t) + shift)
+        rng = random.Random(99)
+        cases = [case for kind in PAIR_KINDS for case in pair_cases(kind, 25, seed=50 + len(kind))]
+        cases += [([rng.uniform(1e-3, below(1.0 - t, 2)) for _ in range(10)], t)
+                  for t in (rng.uniform(1e-6, 0.95) for _ in range(400))]
+        cases += [([0.25, 0.5, below(0.75, 1), 2.0**-53], 0.25), ([0.5, 0.125], 2.0**-53 * 3)]
+        probed = 0
+        for lengths, t in cases:
+            lengths = np.asarray(lengths)
+            starts, widths = _miss_words(lengths, t)
+            first = np.broadcast_to(starts >> np.uint64(11), widths.shape).astype(np.int64)
+            last = first + (widths >> np.uint64(11)).astype(np.int64) - 1
+            ks = np.concatenate((first - 1, first, first + 1, last - 1, last, last + 1))
+            ks = np.clip(ks, 0, 2**53 - 1).astype(np.uint64)
+            for low_bits in (0, 2**11 - 1):
+                words = (ks << np.uint64(11)) | np.uint64(low_bits)
+                raw = (words[None] - starts[:, None, :] < widths[:, None, :]).any(axis=0)
+                centers = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                np.testing.assert_array_equal(raw, float_misses(centers, lengths, t))
+                probed += words.size
+            # Every range that is not empty ends on a miss, followed by a hit
+            # unless the next k starts the other range.
+            hit_after = ~float_misses((last + 1) * 2.0**-53, lengths, t)
+            assert np.all(float_misses(last[widths > 0] * 2.0**-53, lengths[np.nonzero(widths > 0)[1]], t))
+            assert np.all(hit_after[0] | (last[0] + 1 == first[1]))
+        assert probed > 100_000
+
+
 class TestGapMeasure:
     def test_mean_matches_expectation_small(self):
         # short sequence keeps gap events common, so the law is testable cheaply
@@ -302,3 +417,18 @@ class TestSeedValidation:
     def test_negative_seed_names_seed(self, call):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             call()
+
+
+class TestReplicationLimit:
+    @pytest.mark.parametrize("call", [coverage_probability, gap_measure_samples], ids=["coverage", "gap-measure"])
+    @pytest.mark.parametrize("reps", [0, 2**32 + 1, 5 * 10**9])
+    def test_rejects_before_any_draw(self, call, reps, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before rejecting reps")
+
+        monkeypatch.setattr(covering, "uniforms", no_draw)
+        with pytest.raises(ValueError, match="reps"):
+            call(LengthSequence.constant(0.3), 12, reps, 1)
+
+    def test_every_spawn_key_below_2_32_is_allowed(self):
+        assert _check_run_args(12, 2**32, 5) == 5

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from arccover._philox import check_seed, replication_keys, uniforms
+from arccover import _philox
+from arccover._philox import check_seed, philox4x64, replication_keys, uniforms
 
 SEEDS = [0, 1, 7, 123456789, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 2**64 + 3,
          (1 << 200) + 5]
@@ -11,6 +12,46 @@ SEEDS = [0, 1, 7, 123456789, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 2*
 
 def numpy_stream(seed: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+
+
+def numpy_words(key0, key1, first: int, count: int) -> np.ndarray:
+    """numpy's Philox words for blocks first..first+count-1 of each key, shape (R, count, 4)."""
+    counter = np.array([first, 0, 0, 0], dtype=np.uint64)
+    return np.stack([np.random.Philox(key=np.array([k0, k1], dtype=np.uint64), counter=counter)
+                     .random_raw(4 * count) for k0, k1 in zip(key0, key1)]).reshape(-1, count, 4)
+
+
+def grid_edges(rows: int) -> list[int]:
+    """Block counts 1, step - 1, step and step + 1 for the columns a tile of ``rows`` holds."""
+    step = max(1, _philox._TILE_BUDGET // rows)
+    return sorted({1, step - 1, step, step + 1} - {0})
+
+
+@pytest.mark.parametrize("rows, cols", [(rows, cols) for rows in (1, 20000) for cols in grid_edges(rows)])
+def test_tiled_kernel_matches_numpy_philox_across_tile_edges(rows, cols):
+    keys = np.random.default_rng(rows + cols).integers(0, 2**64, size=(2, rows), dtype=np.uint64,
+                                                        endpoint=False)
+    first = 2**40 + 3
+    got = philox4x64(keys[0], keys[1], np.arange(first, first + cols, dtype=np.uint64))
+    np.testing.assert_array_equal(got, numpy_words(keys[0], keys[1], first, cols))
+
+
+def test_small_tiles_straddle_rows_and_columns(monkeypatch):
+    monkeypatch.setattr(_philox, "_TILE_BUDGET", 48)
+    keys = np.random.default_rng(5).integers(0, 2**64, size=(2, 101), dtype=np.uint64, endpoint=False)
+    for rows, cols in [(7, 5), (7, 6), (7, 7), (7, 13), (47, 2), (48, 1), (49, 3), (101, 2)]:
+        got = philox4x64(keys[0, :rows], keys[1, :rows], np.arange(cols, dtype=np.uint64))
+        np.testing.assert_array_equal(got, numpy_words(keys[0, :rows], keys[1, :rows], 0, cols))
+    reps = np.arange(0, 1300, 13)
+    got = uniforms(77, reps, 9, 61)
+    for row, r in zip(got, reps):
+        np.testing.assert_array_equal(row, numpy_stream(77, int(r)).random(61)[9:])
+
+
+def test_empty_grids():
+    key = np.zeros(3, dtype=np.uint64)
+    assert philox4x64(key, key, np.arange(0, dtype=np.uint64)).shape == (3, 0, 4)
+    assert philox4x64(key[:0], key[:0], np.arange(5, dtype=np.uint64)).shape == (0, 5, 4)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
