@@ -37,6 +37,7 @@ concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,9 +46,9 @@ import numpy as np
 from ._accum import MAX_NODES, compensated_cumsum, log_sum_exp, product_rule
 from .sequences import LengthSequence, as_lengths, check_window, epsilon_window, generate
 
-# Both ways of evaluating the log-integrand work in chunks that bound peak
-# memory; a block of at most 512 KiB also stays in cache through the passes
-# over it.
+# Both ways of evaluating the log-integrand, and the certificate's tail sum,
+# work in chunks that bound peak memory; a block of at most 512 KiB also
+# stays in cache through the passes over it.
 _CHUNK_ELEMENTS = 1 << 16
 
 # The centred expansion keeps every |x - c| / r at most _RHO and cuts each
@@ -378,25 +379,48 @@ def growth_derivative_probe(eps: float) -> GrowthDerivatives:
     )
 
 
-def _certificate(lengths: np.ndarray, eps: float) -> LowerBoundCertificate:
-    # A tail length's integral(f_l) = eps * g_eps(l): its eps cancels one of
-    # eps**(1-n) before any rounding, so only the m head terms keep theirs.
-    # The head lengths are l >= eps, checked against the window already:
-    # pair_factor_integral's l >= eps branch, without its checks.
-    m = int(np.count_nonzero(lengths >= eps))
-    half_eps_sq = 0.5 * eps * eps
-    head = math.fsum(math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in lengths[:m].tolist())
-    log_c = (1.0 - m) * math.log(eps) + head
+def _log_g(x: np.ndarray, eps: float) -> np.ndarray:
     # log g by the exact identity g - 1 = x^2 (1-2 eps) / (2 eps (1-x)^2), whose
-    # log1p keeps each term exactly nonnegative for eps <= 1/2.  In place, and
-    # read by fsum as an array, 10^6 terms need two 8 MB temporaries.
-    x = lengths[m:]
+    # log1p keeps each term exactly nonnegative for eps <= 1/2.
     ratio, den = x * x * (1.0 - 2.0 * eps), 1.0 - x
     den *= den
     den *= 2.0 * eps
     ratio /= den
-    g_log_sum = math.fsum(np.log1p(ratio, out=ratio))
-    return LowerBoundCertificate(m=m, log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
+    return np.log1p(ratio, out=ratio)
+
+
+def _certificate(blocks, eps: float) -> LowerBoundCertificate:
+    """The certificate of the lengths that ``blocks`` yields, as consecutive
+    nonincreasing arrays, so no temporary holds all of them."""
+    # A tail length's integral(f_l) = eps * g_eps(l): its eps cancels one of
+    # eps**(1-n) before any rounding, so only the m head terms keep theirs.
+    # Lengths are nonincreasing, so the head, l >= eps, leads every block.
+    # fsum rounds once over all the terms it is given, so feeding the tail's
+    # block by block keeps its bits.
+    head = []
+
+    def tail_terms():
+        for block in blocks:
+            m = int(np.count_nonzero(block >= eps))
+            head.extend(block[:m].tolist())
+            yield _log_g(block[m:], eps)
+
+    g_log_sum = math.fsum(itertools.chain.from_iterable(tail_terms()))
+    # The head lengths are l >= eps, checked against the window already:
+    # pair_factor_integral's l >= eps branch, without its checks.
+    half_eps_sq = 0.5 * eps * eps
+    head_sum = math.fsum(math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in head)
+    log_c = (1.0 - len(head)) * math.log(eps) + head_sum
+    return LowerBoundCertificate(m=len(head), log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
+
+
+def _blocks(lengths: np.ndarray):
+    return (lengths[start:start + _CHUNK_ELEMENTS] for start in range(0, lengths.size, _CHUNK_ELEMENTS))
+
+
+def _check_bound_path(eps: float) -> None:
+    if eps >= 0.5:
+        raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")
 
 
 def chebyshev_lower_bound(lengths, eps: float) -> float:
@@ -412,7 +436,7 @@ def chebyshev_lower_bound(lengths, eps: float) -> float:
     if lengths.size == 0:
         return eps
     with np.errstate(over="ignore"):
-        return float(np.exp(_certificate(lengths, eps).bound_log))
+        return float(np.exp(_certificate(_blocks(lengths), eps).bound_log))
 
 
 def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
@@ -426,9 +450,8 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     """
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
-    if eps >= 0.5:
-        raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")
-    return _certificate(lengths, eps)
+    _check_bound_path(eps)
+    return _certificate(_blocks(lengths), eps)
 
 
 def divergence_table(
@@ -443,7 +466,9 @@ def divergence_table(
     ``log_product_integral`` is evaluated only for n <= quadrature_cap:
     quadrature costs O(n) points of O(P) work each after O(k*P*n) prefix
     sums (see ``product_integral``), 0.06 s at n = 10**4 for the README
-    sequence on a 2-core x86-64 VM.  The certificate costs O(n) and is always reported.
+    sequence on a 2-core x86-64 VM.  The certificate costs O(n) and is always
+    reported; it generates the lengths a block at a time, so its memory does
+    not grow with n.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
@@ -452,16 +477,21 @@ def divergence_table(
         raise ValueError("checkpoints must be nonnegative")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    epsilon_window(seq, eps)
+    eps = epsilon_window(seq, eps).eps
 
     n_max = checkpoints[-1]
-    lengths = generate(seq, n_max) if n_max >= 1 else np.empty(0)
+    if n_max >= 1:
+        generate(seq, n_max, start=n_max - 1)  # the smallest term: raises if it underflows
+    _check_bound_path(eps)
+    n_quad = max((n for n in checkpoints if n <= quadrature_cap), default=0)
+    lengths = generate(seq, n_quad) if n_quad >= 1 else np.empty(0)
     rows = []
     for n in checkpoints:
-        head = lengths[:n]
-        cert = shepp_lower_bound(head, eps)
+        blocks = (generate(seq, min(start + _CHUNK_ELEMENTS, n), start=start)
+                  for start in range(0, n, _CHUNK_ELEMENTS))
+        cert = _certificate(blocks, eps)
         if n <= quadrature_cap:
-            log_pi = product_integral(head, eps).log_value
+            log_pi = product_integral(lengths[:n], eps).log_value
         else:
             log_pi = None
         rows.append(DivergenceRow(n=n, log_product_integral=log_pi,

@@ -34,7 +34,7 @@ def as_lengths(lengths) -> np.ndarray:
     if arr.size:
         if not (np.all(arr > 0.0) and np.all(arr < 1.0)):
             raise ValueError("all lengths must lie strictly inside (0, 1)")
-        if np.any(np.diff(arr) > 0.0):
+        if np.any(arr[1:] > arr[:-1]):
             raise ValueError("lengths must be nonincreasing")
     return arr
 
@@ -118,30 +118,35 @@ class EpsilonWindow:
     bound_path_ok: bool
 
 
-def generate(seq: LengthSequence, n: int) -> np.ndarray:
-    """First ``n`` arc lengths of ``seq`` as a float64 array.
+def generate(seq: LengthSequence, n: int, start: int = 0) -> np.ndarray:
+    """Arc lengths ``start + 1`` to ``n`` of ``seq`` (the first ``n`` by default) as a float64 array.
 
-    Pure and deterministic: calling twice yields identical arrays.  The
-    explicit family returns a prefix copy and raises if fewer than ``n``
-    values were supplied.  Raises if a term underflows to 0.
+    Pure and deterministic: calling twice yields identical arrays, and
+    each term has the same bits whatever ``start`` is.  The explicit
+    family returns a copy and raises if fewer than ``n`` values were
+    supplied.  Raises if a term underflows to 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= start < n:
+        raise ValueError(f"start must lie in [0, n), got {start}")
     if seq.family == "explicit":
         assert seq.values is not None
         if len(seq.values) < n:
             raise ValueError(f"explicit list has {len(seq.values)} values but n={n} were requested")
-        return np.array(seq.values[:n], dtype=np.float64)
-    k = np.arange(1, n + 1, dtype=np.float64)
+        return np.array(seq.values[start:n], dtype=np.float64)
+    # In place: at n = 10**6 each full-length temporary is 8 MB.
     if seq.family == "constant":
-        raw = np.full(n, float(seq.c))
-    elif seq.family == "harmonic":
-        raw = seq.c / k
-    elif seq.family == "inverse_sqrt":
-        raw = seq.c / np.sqrt(k)
-    else:  # power_decay
-        raw = seq.c * k ** (-seq.alpha)
-    lengths = np.minimum(float(seq.cap), raw)
+        lengths = np.full(n - start, float(seq.c))
+    elif seq.family == "power_decay":
+        lengths = np.arange(start + 1, n + 1, dtype=np.float64) ** (-seq.alpha)
+        lengths *= seq.c
+    else:  # c / k or c / sqrt(k)
+        lengths = np.arange(start + 1, n + 1, dtype=np.float64)
+        if seq.family == "inverse_sqrt":
+            np.sqrt(lengths, out=lengths)
+        np.divide(seq.c, lengths, out=lengths)
+    np.minimum(lengths, float(seq.cap), out=lengths)
     if not lengths[-1] > 0.0:  # the smallest term
         raise ValueError(f"term {n} of {seq.family} is {lengths[-1]}; lengths must be positive")
     return lengths

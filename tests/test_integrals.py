@@ -740,6 +740,22 @@ class TestDivergenceTable:
         assert rows[0].log_product_integral == pytest.approx(math.log(0.25), abs=1e-14)
         assert rows[0].bound_log == pytest.approx(math.log(0.25), abs=1e-14)
 
+    def test_blocked_certificate_matches_the_whole_array(self, monkeypatch):
+        # With blocks of 7 lengths, checkpoints fall on, before and after block
+        # edges; every row, and shepp_lower_bound itself, must keep the bits
+        # of the one-block certificate (fsum over the whole tail at once).
+        checkpoints = [0, 1, 6, 7, 8, 64, 1000]
+        cases = ((self.SEQ, 0.25), (LengthSequence.harmonic(c=3.0, cap=0.49), 0.01),
+                 (LengthSequence.explicit(np.linspace(0.45, 0.001, 1000)), 0.2))
+        whole = {(i, n): shepp_lower_bound(generate(seq, 1000)[:n], eps)
+                 for i, (seq, eps) in enumerate(cases) for n in checkpoints}
+        monkeypatch.setattr(integrals, "_CHUNK_ELEMENTS", 7)
+        for i, (seq, eps) in enumerate(cases):
+            rows = divergence_table(seq, eps, checkpoints, quadrature_cap=0)
+            for row in rows:
+                assert shepp_lower_bound(generate(seq, 1000)[:row.n], eps) == whole[i, row.n]
+                assert (row.bound_log, row.g_log_sum) == (whole[i, row.n].bound_log, whole[i, row.n].g_log_sum)
+
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             divergence_table(self.SEQ, 0.25, [10, 10])

@@ -80,6 +80,25 @@ class TestGenerate:
         seq = LengthSequence.power_decay(c=1.3, alpha=0.7, cap=0.7)
         np.testing.assert_array_equal(generate(seq, 50), generate(seq, 50))
 
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.constant(0.3),
+        LengthSequence.harmonic(c=1.7, cap=0.49),
+        LengthSequence.inverse_sqrt(c=0.9, cap=0.49),
+        LengthSequence.power_decay(c=1.3, alpha=0.75, cap=0.7),
+        LengthSequence.explicit(np.linspace(0.9, 0.01, 5000)),
+    ], ids=["constant", "harmonic", "inverse-sqrt", "power-decay", "explicit"])
+    def test_start_gives_the_same_bits_as_a_prefix(self, seq):
+        full = generate(seq, 5000)
+        for start in (0, 1, 4095, 4096, 4999):
+            part = generate(seq, 5000, start=start)
+            np.testing.assert_array_equal(part.view(np.uint64), full[start:].view(np.uint64))
+
+    def test_start_must_lie_below_n(self):
+        seq = LengthSequence.harmonic()
+        for start in (-1, 5):
+            with pytest.raises(ValueError, match="start must"):
+                generate(seq, 5, start=start)
+
 
 family_params = st.tuples(
     st.sampled_from(["constant", "harmonic", "inverse_sqrt", "power_decay"]),
