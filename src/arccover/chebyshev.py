@@ -12,19 +12,30 @@ degree n between merged breakpoints): exact for at most 23 functions, at
 roundoff above.  The arc-avoidance factors of the covering problem are
 themselves piecewise linear, so this engine reproduces that application.
 
-The engine works on a family as rows: an ``(n, width)`` array of
-breakpoints and one of values; a row ends where its breakpoints reach
-eps.  A shorter row is padded with eps and its last value; the padded
-pieces have zero width, so they add exact zeros to every sum.
-One evaluator takes these rows for random and user-built families alike,
-and ``inequality-check`` runs its trials on them without building an
-object per function.
+The engine works on families in a batch, stacked as ``(families,
+functions, width)`` arrays of breakpoints and of values; a row ends
+where its breakpoints reach eps.  A shorter row is padded with eps and
+its last value, so the padded pieces have zero width and add exact
+zeros to every sum; a family with fewer functions than the batch has
+dead rows (breakpoints 0 and eps, value 1) after its own.  One draw
+(``_family_batch``) and one evaluator (``_sides``) serve the
+``inequality-check`` trials, hundreds of families at a time, and the
+library functions, each a batch of one.
+
+The evaluator sorts each family's breakpoints once, gives every row its
+piece at each merged breakpoint by a running count, and evaluates a
+factor at a node as np.interp does: ``slope*(x - b0) + v0`` on the piece
+of the node's merged segment, the breakpoint's own value where x is b0,
+and the neighbouring piece for a node that rounds onto the segment's end
+(or below its start).
 
 A random family draws from ``default_rng(seed)``: eps from U(0.2, 1),
 then, function after function, ``segments`` inner breakpoints
 ``eps * random()``, of which tied and out-of-range draws are dropped,
 then one value per kept breakpoint (both ends included), floored at
-VALUE_FLOOR and sorted to match the direction.
+VALUE_FLOOR and sorted to match the direction.  The draws are read from
+one bulk ``random(n * (2*segments + 2))``, an upper bound on what the
+family reads, which gives the same doubles as the calls one by one.
 """
 
 from __future__ import annotations
@@ -34,12 +45,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import product_rule
+from ._accum import MAX_NODES, product_rule
 
 DIRECTIONS = ("increasing", "decreasing")
 
 # Random families get values floored here; the inequality needs positive functions.
 VALUE_FLOOR = 1e-6
+
+# Up to this many functions the product rule needs no log-drop pieces.
+_EXACT_FUNCTIONS = 2 * MAX_NODES - 1
 
 
 def _check_rows(breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray, direction: str) -> None:
@@ -114,34 +128,128 @@ def _rows(fs) -> tuple[np.ndarray, np.ndarray]:
     width = max(f.breakpoints.size for f in fs)
 
     def padded(a: np.ndarray) -> np.ndarray:
-        return np.pad(a, (0, width - a.size), mode="edge")
+        return np.concatenate((a, a[-1:].repeat(width - a.size)))
 
     return np.array([padded(f.breakpoints) for f in fs]), np.array([padded(f.values) for f in fs])
 
 
 def _row_integrals(b: np.ndarray, v: np.ndarray) -> list[float]:
-    """The exact integral of each row (trapezoid, exact for polylines)."""
-    terms = np.diff(b, axis=1) * (0.5 * (v[:, :-1] + v[:, 1:]))
-    return [math.fsum(row) for row in terms.tolist()]
+    """The exact integral of each row (trapezoid, exact for polylines), rows in C order."""
+    terms = np.diff(b, axis=-1) * (0.5 * (v[..., :-1] + v[..., 1:]))
+    return [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
 
 
-def _product_integral_rows(b: np.ndarray, v: np.ndarray) -> float:
-    # The product is a polynomial of degree n between merged breakpoints.
-    # np.interp on a padded row gives the bits of the cut row.
-    rows = list(zip(b, v))
+def _merged_breakpoints(b: np.ndarray):
+    """Each family's distinct breakpoints, from one sort and a neighbour compare.
 
-    def factors(x: np.ndarray):
-        return (np.interp(x, bi, vi) for bi, vi in rows)
+    Returns them family after family, where each family's run starts and
+    ends, and where each breakpoint of ``b`` sits among them.
+    """
+    flat, each = b.reshape(len(b), -1), np.arange(len(b))[:, None]
+    perm = flat.argsort(axis=1, kind="stable")
+    merged = flat[each, perm]
+    new = np.ones(merged.shape, dtype=bool)
+    np.not_equal(merged[:, 1:], merged[:, :-1], out=new[:, 1:])
+    counts = new.sum(axis=1)
+    rank = np.empty(flat.shape, dtype=np.int64)
+    rank[each, perm] = new.cumsum().reshape(flat.shape) - 1
+    ends = counts.cumsum()
+    return merged[new], ends - counts, ends, rank.reshape(b.shape)
 
-    x, w, _, _ = product_rule(np.unique(b), len(rows), lambda t: sum(map(np.log, factors(t))))
-    return math.fsum((math.prod(factors(x)) * w).tolist())
+
+def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The integral of each family's product over its first ``ns[k]`` rows, for stacked rows ``b``, ``v``.
+
+    Families are taken in descending n, so row r is live on a prefix of
+    them and families of one node count q are adjacent.  Each family's
+    merged breakpoints come from ``_merged_breakpoints``; a row's piece
+    at every merged breakpoint is the running count of its own
+    breakpoints up to there.  The nodes are ``product_rule``'s, on
+    all merged segments of families of one q at once; a family of more
+    than 23 functions gets its own call, whose log-drop rule cuts
+    segments into pieces.  Factors multiply in row order and each
+    family's weighted products go into one ``math.fsum``.
+    """
+    order = np.argsort(-ns, kind="stable")
+    b, v, ns = b[order], v[order], ns[order]
+    families, rows, _ = b.shape
+    pts, starts, ends, rank = _merged_breakpoints(b)
+    gaps = np.diff(b, axis=-1)
+    slope = np.zeros(b.shape)  # zero on padding, so a node at or past eps reads the last value
+    np.divide(np.diff(v, axis=-1), gaps, out=slope[..., :-1], where=gaps > 0.0)
+
+    def table(r: int) -> list[np.ndarray]:
+        """Row r's piece at every merged breakpoint: its first breakpoint, value and slope."""
+        piece = np.bincount(rank[:, r].ravel(), minlength=pts.size).cumsum() - 1
+        return [a[:, r].ravel()[piece] for a in (b, v, slope)]
+
+    def value(row: list[np.ndarray], x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """np.interp's arithmetic at nodes x, on the row's pieces at merged breakpoints g."""
+        b0, v0, s0 = (a[g] for a in row)
+        return np.where(x == b0, v0, s0 * (x - b0) + v0)
+
+    qs = np.minimum((ns + 2) // 2, MAX_NODES)  # product_rule's ceil((n + 1)/2), capped
+    cuts = np.flatnonzero((qs[1:] != qs[:-1]) | (ns[:-1] > _EXACT_FUNCTIONS)) + 1
+    bounds = [0, *cuts.tolist(), families]
+    groups, sizes = [], []
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        at = np.arange(starts[first], ends[last - 1])
+        n = int(ns[first])
+        x, w, q, _ = product_rule(pts[at], n, lambda y: sum(np.log(value(table(r), y, at)) for r in range(n)))
+        x, w = x.reshape(-1, q), w.reshape(-1, q)
+        # Nodes are laid out a span of q per line: a log-drop piece or a merged segment.
+        if n > _EXACT_FUNCTIONS:  # one family, its segments cut into log-drop pieces
+            g = at[0] + np.searchsorted(pts[at], x, side="right") - 1
+            seg, lines = g[:, q // 2], np.array([len(x)])
+        else:  # every merged segment, but none from one family's eps to the next one's 0
+            keep = np.ones(at.size - 1, dtype=bool)
+            keep[ends[first:last - 1] - 1 - at[0]] = False
+            seg, x, w = at[:-1][keep], x[keep], w[keep]
+            g = seg[:, None] + (x >= pts[seg + 1, None]) - (x < pts[seg, None])
+            lines = ends[first:last] - starts[first:last] - 1
+        sizes += (lines * q).tolist()
+        # Row r is live on the group's first families, those with more than r rows.
+        line_starts = np.concatenate(([0], lines)).cumsum()
+        live = line_starts[(ns[first:last, None] > np.arange(rows)).sum(axis=0)]
+        # A node off its segment's piece, or on a breakpoint, is read on its own piece.
+        odd = np.nonzero((g != seg[:, None]) | (x == pts[g]))
+        groups.append((x, w, seg, live, odd, g[odd]))
+    prods = [np.ones(x.shape) for x, *_ in groups]
+    for r in range(rows):
+        row = table(r)
+        b0, v0, s0 = row
+        for (x, w, seg, live, odd, g_odd), prod in zip(groups, prods):
+            k, s = live[r], seg[:live[r]]
+            f = np.subtract(x[:k], b0[s, None])
+            f *= s0[s, None]
+            f += v0[s, None]
+            if g_odd.size:
+                mine = odd[0] < k
+                f[odd[0][mine], odd[1][mine]] = value(row, x[odd][mine], g_odd[mine])
+            prod[:k] *= f
+    terms = np.concatenate([(prod * w).ravel() for prod, (x, w, *_) in zip(prods, groups)])
+    out = np.empty(families)
+    out[order] = [math.fsum(terms[e - k:e].tolist()) for e, k in zip(np.cumsum(sizes).tolist(), sizes)]
+    return out
+
+
+def _sides(b: np.ndarray, v: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, ``eps**(n-1) * integral(prod f_k)`` and ``prod integral(f_k)``, of each stacked family."""
+    ns = np.asarray(ns)
+    live = np.arange(b.shape[1]) < ns[:, None]
+    row_integrals = _row_integrals(b[live], v[live])
+    lhs, rhs = [], []
+    for eps, n, end, integral_k in zip(b[:, 0, -1].tolist(), ns.tolist(), np.cumsum(ns).tolist(),
+                                       _product_integrals(b, v, ns).tolist()):
+        lhs.append(eps ** (n - 1) * integral_k)
+        rhs.append(math.prod(row_integrals[end - n:end]))
+    return np.array(lhs), np.array(rhs)
 
 
 def _evaluate(b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Both sides, ``(eps**(n-1) * integral(prod f_k), prod integral(f_k))``, of a family in rows."""
-    eps = float(b[0, -1])
-    lhs = eps ** (len(b) - 1) * _product_integral_rows(b, v)
-    return lhs, math.prod(_row_integrals(b, v))
+    """Both sides of one family in rows, as a batch of one."""
+    lhs, rhs = _sides(b[None], v[None], np.array([len(b)]))
+    return float(lhs[0]), float(rhs[0])
 
 
 def _holds(lhs, rhs):
@@ -171,6 +279,11 @@ def _common_family(fs) -> list[MonotonePiecewiseLinear]:
     return fs
 
 
+def _product_integral(b: np.ndarray, v: np.ndarray) -> float:
+    """The integral of the product of one family's rows, as a batch of one."""
+    return float(_product_integrals(b[None], v[None], np.array([len(b)]))[0])
+
+
 def product_integral_pl(fs) -> float:
     """Integral of ``prod(fs)`` over the shared domain, exact for at most 23 functions.
 
@@ -178,7 +291,7 @@ def product_integral_pl(fs) -> float:
     this engine certifies is only stated for commonly monotone
     families.
     """
-    return _product_integral_rows(*_rows(_common_family(fs)))
+    return _product_integral(*_rows(_common_family(fs)))
 
 
 def check_inequality(fs) -> InequalityCheck:
@@ -204,7 +317,57 @@ def two_function_correlation(f: MonotonePiecewiseLinear, g: MonotonePiecewiseLin
     eps = _shared_domain([f, g])
     b, v = _rows([f, g])
     int_f, int_g = _row_integrals(b, v)
-    return 2.0 * eps * _product_integral_rows(b, v) - 2.0 * int_f * int_g
+    return 2.0 * eps * _product_integral(b, v) - 2.0 * int_f * int_g
+
+
+def _family_batch(seeds, ns, increasing, segments) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked rows of random families, one ``default_rng(seeds[k])`` each.
+
+    Family k has ``ns[k]`` functions of ``segments[k]`` draws each and is
+    increasing where ``increasing[k]``; the rows are ``max(segments) + 2``
+    wide and there are ``max(ns)`` of them, dead after a family's own.
+    Each generator gives eps, then one bulk draw that the loop over the
+    function index lays out for every family at once: a family's read
+    offset advances by ``segments + kept + 2`` per function, so ties and
+    out-of-range draws are dropped as the draws one by one would be.
+    """
+    ns, segments = np.asarray(ns), np.asarray(segments)
+    families, rows, inner = len(ns), int(ns.max()), int(segments.max())
+    width = inner + 2
+    sizes = ns * (2 * segments + 2)  # at most segments inner draws and segments + 2 values per function
+    # NaN past each family's draws; the last value window starts at most inner columns past them.
+    stream = np.full((families, int(sizes.max()) + inner + width), np.nan)
+    eps = np.empty((families, 1))
+    for k, (seed, size) in enumerate(zip(seeds, sizes.tolist())):
+        rng = np.random.default_rng(seed)
+        eps[k] = rng.uniform(0.2, 1.0)
+        stream[k, :size] = rng.random(size)
+    sign = np.where(increasing, 1.0, -1.0)[:, None]  # a decreasing row is sorted negated
+    columns, each = np.arange(width), np.arange(families)[:, None]
+    b = np.zeros((families, rows, width))
+    v = np.ones((families, rows, width))
+    read = np.zeros(families, dtype=np.int64)
+    for i in range(rows):
+        alive = ns > i
+        # eps * random() is bit for bit rng.uniform(0, eps).  Dropped draws
+        # become inf, and a sort moves them behind the kept ones.
+        x = eps * stream[each, read[:, None] + columns[:inner]]
+        drop = (columns[:inner] >= segments[:, None]) | ~alive[:, None] | ~((0.0 < x) & (x < eps))
+        x[drop] = np.inf
+        x.sort(axis=1)
+        x[:, 1:][x[:, 1:] == x[:, :-1]] = np.inf  # ties
+        x.sort(axis=1)
+        kept = (x < np.inf).sum(axis=1)
+        b[:, i, 1:-1] = np.minimum(x, eps)
+        b[:, i, -1:] = eps
+        drawn = stream[each, (read + segments)[:, None] + columns]
+        drawn[columns >= kept[:, None] + 2] = np.nan  # unused slots sort last
+        u = sign * np.maximum(drawn, VALUE_FLOOR)
+        u.sort(axis=1)
+        # fmax skips NaN, so each unused slot repeats the row's last value.
+        v[alive, i] = (sign * np.fmax.accumulate(u, axis=1))[alive]
+        read += alive * (segments + kept + 2)
+    return b, v
 
 
 def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,23 +376,10 @@ def _family_rows(seed: int, n: int, direction: str, segments: int) -> tuple[np.n
         raise ValueError(f"n must be >= 1, got {n}")
     if segments < 1:
         raise ValueError(f"segments must be >= 1, got {segments}")
-    rng = np.random.default_rng(seed)
-    eps = float(rng.uniform(0.2, 1.0))
-    b = np.full((n, segments + 2), eps)
-    b[:, 0] = 0.0
-    drawn = np.full_like(b, np.nan)  # unused slots stay NaN and sort last
-    for i in range(n):
-        # eps * random() is bit for bit rng.uniform(0, eps).  The set drops
-        # ties and out-of-range draws, as np.unique and a range filter would.
-        inner = sorted({x for x in (eps * rng.random(segments)).tolist() if 0.0 < x < eps})
-        b[i, 1:1 + len(inner)] = inner
-        drawn[i, :len(inner) + 2] = rng.random(len(inner) + 2)
-    v = np.maximum(drawn, VALUE_FLOOR)
-    v = np.sort(v, axis=1) if direction == "increasing" else -np.sort(-v, axis=1)
-    # fmax and fmin skip NaN, so each unused slot repeats the row's last value.
-    v = (np.fmax if direction == "increasing" else np.fmin).accumulate(v, axis=1)
-    _check_rows(b, v, 1 + np.count_nonzero(b < eps, axis=1), direction)
-    return b, v
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    b, v = _family_batch([seed], [n], [direction == "increasing"], [segments])
+    return b[0], v[0]
 
 
 def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> list[MonotonePiecewiseLinear]:

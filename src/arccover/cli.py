@@ -11,9 +11,16 @@ are decimal, and floats are ``"%.17g"`` (lossless round trips), which
 prints ``inf``/``-inf``/``nan`` in CSV; JSON writes ``null`` for a
 non-finite float.  No cell needs CSV quoting.  Rows are formatted in
 blocks: each column's slice of a block is converted to Python scalars
-once, and a slice of one type gets that type's formatter once.  Each
-block's rows are joined into one string, and the blocks into the
-document, so no column of cell strings and no list of every row is held.
+once and gives the block's row format its directive, ``%d`` for ints,
+``%.17g`` for floats (in JSON only if all are finite) and ``%s`` with
+the cells formatted by the rule for any other slice.  Each block's rows
+are joined into one string, and the blocks into the document, so no
+column of cell strings and no list of every row is held.
+
+``inequality-check`` draws its trials' parameters one trial after
+another and runs the families in batches of _TRIAL_CHUNK: one bulk draw
+per family, laid out for the whole batch at once, and one stacked
+evaluation per batch (``chebyshev._family_batch`` and ``_sides``).
 
 Exit status: 0 success, 1 runtime error, 2 invalid configuration.
 """
@@ -35,6 +42,8 @@ from .sequences import generate, parse_sequence_spec
 # Per-trial draw ranges of the inequality-check command.
 TRIAL_MAX_FUNCTIONS = 10
 TRIAL_MAX_SEGMENTS = 6
+# Trials per batch of inequality-check: its temporaries stay a few MiB at any --trials.
+_TRIAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,8 @@ _JSON_CELL = {
     str: json.dumps,
 }
 
-# Rows are formatted per block: each column's slice is converted with one .tolist().
+# Rows are formatted per block: each column's slice is converted with one .tolist()
+# and gives one %-directive for the block.
 _BLOCK_ROWS = 4096
 
 
@@ -88,16 +98,25 @@ def _cell(value, as_json: bool) -> str:
     return formats[str](str(value))
 
 
-def _column_block(column, start: int, as_json: bool):
-    """The formatted cells of one column in rows start .. start + _BLOCK_ROWS, as an iterator."""
+def _column_block(column, start: int, as_json: bool) -> tuple[str, object]:
+    """One column's rows start .. start + _BLOCK_ROWS: a %-directive and the values it formats.
+
+    A slice of ints takes ``%d``, and a slice of floats ``%.17g`` (in JSON
+    only if every one is finite); any other slice takes ``%s`` with its
+    cells formatted by the cell rule.
+    """
     chunk = column[start:start + _BLOCK_ROWS]
     values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-    formats = _JSON_CELL if as_json else _CSV_CELL
     kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if kinds == {float} and (not as_json or all(map(math.isfinite, values))):
+        return "%.17g", values
+    formats = _JSON_CELL if as_json else _CSV_CELL
     format_cell = formats.get(kinds.pop()) if len(kinds) == 1 else None
     if format_cell:
-        return map(format_cell, values)
-    return (_cell(value, as_json) for value in values)
+        return "%s", map(format_cell, values)
+    return "%s", (_cell(value, as_json) for value in values)
 
 
 def _setting(value, as_json: bool) -> str:
@@ -124,16 +143,14 @@ def render(config: RunConfig, columns: dict) -> str:
     as_json = config.format == "json"
     settings = [(f.name, getattr(config, f.name)) for f in fields(config)]
     count = len(next(iter(columns.values()), ()))
-    # One row's layout, with %s for each cell.
-    if as_json:
-        fmt = "    " + _json_object([(json.dumps(name).replace("%", "%%"), "%s") for name in columns], "    ")
-    else:
-        fmt = ",".join(["%s"] * len(columns))
+    keys = [json.dumps(name).replace("%", "%%") for name in columns]
     separator = ",\n" if as_json else "\n"
     blocks = []
     for start in range(0, count, _BLOCK_ROWS):
-        cells = zip(*(_column_block(column, start, as_json) for column in columns.values()))
-        blocks.append(separator.join(map(fmt.__mod__, cells)))
+        directives, cells = zip(*(_column_block(column, start, as_json) for column in columns.values()))
+        # One row's layout, with each column's directive for this block.
+        fmt = "    " + _json_object(zip(keys, directives), "    ") if as_json else ",".join(directives)
+        blocks.append(separator.join(map(fmt.__mod__, zip(*cells))))
     if as_json:
         config_doc = _json_object([(json.dumps(key), _setting(value, True)) for key, value in settings], "  ")
         head = '{\n  "config": ' + config_doc + ',\n  "rows": '
@@ -213,14 +230,17 @@ def _run_criterion(config: RunConfig) -> dict:
 def _run_inequality_check(config: RunConfig) -> dict:
     master = np.random.default_rng(check_seed(config.seed))
     sizes, sides = [], []
-    for _ in range(config.trials):
-        n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
-        segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
-        direction = "increasing" if master.integers(2) else "decreasing"
-        family_seed = int(master.integers(1 << 63))
-        sizes.append(n)
-        sides.append(chebyshev._evaluate(*chebyshev._family_rows(family_seed, n, direction, segments)))
-    lhs, rhs = np.array(sides).T
+    for start in range(0, config.trials, _TRIAL_CHUNK):
+        trials = []
+        for _ in range(min(_TRIAL_CHUNK, config.trials - start)):
+            n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
+            segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
+            increasing = bool(master.integers(2))
+            trials.append((int(master.integers(1 << 63)), n, increasing, segments))
+        seeds, ns, increasing, segments = zip(*trials)
+        sizes += ns
+        sides.append(chebyshev._sides(*chebyshev._family_batch(seeds, ns, increasing, segments), ns))
+    lhs, rhs = np.concatenate(sides, axis=1)
     return {
         "trial": range(config.trials),
         "n": sizes,

@@ -217,8 +217,10 @@ class _LogIntegrand:
         small = self.ascending[:np.count_nonzero(lengths <= eps)]
         self.flat = np.concatenate(([0.0], compensated_cumsum(np.log1p(-np.square(small / (1.0 - small))))))
         # 0, the distinct lengths below eps, and eps: segments of positive
-        # width, with the integrand one polynomial on each.
-        self.breakpoints = np.concatenate(([0.0], np.unique(lengths[lengths < eps]), [eps]))
+        # width, with the integrand one polynomial on each.  (np.unique would
+        # import numpy.ma, some 15 ms, on its first call in a process.)
+        below = self.ascending[:np.count_nonzero(lengths < eps)]
+        self.breakpoints = np.concatenate(([0.0], below[:1], below[1:][below[1:] != below[:-1]], [eps]))
         self.degree = self.active(self.breakpoints[:-1])
         # k centres (i + 1/2) * 2h with h <= _RHO * (1 - l_1 - eps), the least
         # r of any factor, so |x - c| / r <= _RHO for the nearest centre c.

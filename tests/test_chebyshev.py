@@ -272,6 +272,23 @@ def reference_sides(family):
     return lhs, rhs
 
 
+class Scripted:
+    """A generator whose unit draws come from a script, in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        out, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(out)
+
+    def uniform(self, low, high, size=None):
+        draw = self.random(1 if size is None else size) * (high - low) + low
+        return float(draw[0]) if size is None else draw
+
+
 def assert_rows_equal(rows, family):
     """Each row, cut where its breakpoints reach eps, is the function; the rest is padding."""
     b, v = rows
@@ -319,44 +336,145 @@ class TestRowKernel:
             assert product_integral_pl(fs) * eps ** (len(fs) - 1) == result.lhs
 
     def test_tied_inner_draws_are_dropped(self, monkeypatch):
-        class Scripted:
-            """A generator whose unit draws come from a script, in order."""
-
-            def __init__(self, draws):
-                self.draws = list(draws)
-                self.sizes = []
-
-            def random(self, size):
-                self.sizes.append(size)
-                out, self.draws = self.draws[:size], self.draws[size:]
-                return np.array(out)
-
-            def uniform(self, low, high, size=None):
-                draw = self.random(1 if size is None else size) * (high - low) + low
-                return float(draw[0]) if size is None else draw
-
         script = [0.5,  # eps = 0.6
                   0.25, 0.75, 0.25, 0.0,  # a tie and a 0: two inner points kept
                   0.9, 0.1, 0.3, 0.7,  # their four values
                   0.5, 0.125, 0.625, 0.375,  # four distinct inner points
                   0.2, 0.4, 0.6, 0.8, 0.1, 0.3]  # their six values
+        sentinels = [np.nan] * 4  # the kernel's bulk draw reads past the script
         generators = []
 
         def scripted_rng(seed):
-            generators.append(Scripted(script))
+            generators.append(Scripted(draws))
             return generators[-1]
 
+        def kernel_rows():
+            return np.concatenate(chebyshev._family_rows(0, 2, "decreasing", 4)).tobytes()
+
+        draws = script + sentinels
         monkeypatch.setattr(np.random, "default_rng", scripted_rng)
         family = reference_family(0, 2, "decreasing", 4)
         rows = chebyshev._family_rows(0, 2, "decreasing", 4)
         reference, kernel = generators
-        assert kernel.sizes[1:] == reference.sizes[1:] == [4, 4, 4, 6]
-        assert kernel.draws == reference.draws == []
+        # The per-function draws read exactly the script; the kernel reads eps,
+        # then n * (2*segments + 2) = 20 in one call, 18 of them scripted.
+        assert reference.sizes[1:] == [4, 4, 4, 6]
+        assert np.isnan(reference.draws).all() and len(reference.draws) == len(sentinels)
+        assert kernel.sizes == [1, 20] and len(kernel.draws) == len(sentinels) - 2
+        assert np.isfinite(rows).all()
         assert_rows_equal(rows, family)
         eps = float(rows[0][0, -1])
         assert rows[0][0].tolist() == [0.0, eps * 0.25, eps * 0.75, eps, eps, eps]
         assert rows[1][0].tolist() == [0.9, 0.7, 0.3, 0.1, 0.1, 0.1]  # decreasing, padded
         assert chebyshev._evaluate(*rows) == reference_sides(family)
+        # Exactly the first 19 draws reach the rows: moving any of them moves
+        # the rows, and a number in place of a sentinel changes nothing.
+        before = np.concatenate(rows).tobytes()
+        for i in range(len(script + sentinels)):
+            draws = script + sentinels
+            draws[i] = draws[i] + 1 / 64 if i < len(script) else 0.5
+            assert (kernel_rows() != before) == (i < len(script)), i
+
+
+def stack(families):
+    """Families of (breakpoints, values) pairs as one batch of rows.
+
+    Rows are padded with eps and their last value; a family with fewer
+    functions than the widest gets dead rows (0 and eps, value 1).
+    """
+    rows = max(len(family) for family in families)
+    width = max(b.size for family in families for b, _ in family)
+    bs = np.zeros((len(families), rows, width))
+    vs = np.ones_like(bs)
+    for k, family in enumerate(families):
+        bs[k, :, 1:] = family[0][0][-1]
+        for i, (b, v) in enumerate(family):
+            bs[k, i] = np.pad(b, (0, width - b.size), mode="edge")
+            vs[k, i] = np.pad(v, (0, width - v.size), mode="edge")
+    return bs, vs, np.array([len(family) for family in families])
+
+
+class TestBatchLayout:
+    """The bulk draw, laid out for many families at once, against the per-function draws."""
+
+    @pytest.mark.parametrize("crafted", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_crafted_drops_match_reference(self, monkeypatch, crafted):
+        # Family 3 has five functions of four draws; function `crafted` draws a
+        # tie, a 0.0 and a 1.0.  eps*u < eps for every double u < 1, so 1.0,
+        # which random() never gives, is the draw that lands on eps.  The
+        # other functions draw distinct points inside (0, 1) and drop nothing.
+        rng = np.random.default_rng(912)
+        shapes = [(3, 2), (1, 5), (6, 1), (5, 4), (2, 3), (4, 6)]  # (n, segments)
+        scripts, increasing = {}, []
+        for seed, (n, segments) in enumerate(shapes):
+            draws = [float(rng.uniform(0.05, 0.95))]
+            for i in range(n):
+                inner = rng.uniform(0.01, 0.99, segments).tolist()
+                if seed == 3 and i == crafted:
+                    inner = [0.25, 0.0, 0.25, 1.0]
+                draws += inner + rng.uniform(0.01, 0.99, len(set(inner) - {0.0, 1.0}) + 2).tolist()
+            scripts[seed] = draws + [np.nan] * 8
+            increasing.append(bool(seed % 2))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Scripted(scripts[seed]))
+        ns = [n for n, _ in shapes]
+        b, v = chebyshev._family_batch(range(len(shapes)), ns, increasing, [s for _, s in shapes])
+        assert b.shape == v.shape == (6, 6, 8)
+        lhs, rhs = chebyshev._sides(b, v, ns)
+        for k, (n, segments) in enumerate(shapes):
+            family = reference_family(k, n, chebyshev.DIRECTIONS[0 if increasing[k] else 1], segments)
+            assert_rows_equal((b[k, :n], v[k, :n]), family)
+            assert np.isfinite(b[k]).all() and np.isfinite(v[k]).all()
+            assert (b[k, n:, 0] == 0.0).all() and (b[k, n:, 1:] == family[0][0][-1]).all()
+            assert (v[k, n:] == 1.0).all()
+            assert (lhs[k], rhs[k]) == reference_sides(family)
+        kept = [fb.size - 2 for fb, _ in reference_family(3, 5, "increasing", 4)]
+        assert kept == [1 if i == crafted else 4 for i in range(5)]
+
+
+class TestBatchEvaluator:
+    """One stacked evaluation gives every family the bits it gets alone."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_mixed_batch_matches_each_family(self, monkeypatch):
+        pieces = []
+
+        def spy_rule(breakpoints, degree, log_integrand, nodes=None):
+            rule = product_rule(breakpoints, degree, log_integrand, nodes)
+            pieces.append((breakpoints.size - 1, rule[3]))
+            return rule
+
+        product_rule = chebyshev.product_rule
+        monkeypatch.setattr(chebyshev, "product_rule", spy_rule)
+        rng = np.random.default_rng(913)
+        families, exact, objects = [], [], []
+        for n in [1, 10, 30, 3, 50, 1, 7, 10, 2, 23]:
+            seed, segments = int(rng.integers(1 << 63)), int(rng.integers(1, 9))
+            objects.append(random_monotone_family(seed, n, chebyshev.DIRECTIONS[int(rng.integers(2))], segments))
+            families.append([(f.breakpoints, f.values) for f in objects[-1]])
+            exact.append(n <= 23)
+        # Segments a few ulps wide, which carry nearly all of the integral: a
+        # node of (1, 1 + 2**-52) rounds below 1.0, one of (1, 1 + 3 * 2**-52)
+        # onto its end, and np.interp reads it on the neighbouring piece.
+        for rows, ulps, top in ((10, 1, 2.0), (12, 3, 1.7)):
+            end = 1.0 + ulps * 2.0**-52
+            families.append([(np.array([0.0, 1.0, end]), np.array([1e-300, 0.125, top]))] * rows)
+            exact.append(True)
+        # An infinite slope on a piece a subnormal wide: its node lies on the
+        # piece's start, where np.interp takes the breakpoint's value.
+        families.append([(np.array([0.0, 5e-324, 1.0]), np.array([1e300, 1.0, 0.5]))])
+        exact.append(True)
+        b, v, ns = stack(families)
+        pieces.clear()
+        lhs, rhs = chebyshev._sides(b, v, ns)
+        # The families of 30 and 50 functions get pieces of their own by the log-drop.
+        assert [count > segments for segments, count in pieces].count(True) == 2
+        for k, family in enumerate(families):
+            alone_b, alone_v, _ = stack([family])
+            assert (lhs[k], rhs[k]) == chebyshev._evaluate(alone_b[0], alone_v[0])
+            if exact[k]:
+                assert (lhs[k], rhs[k]) == reference_sides(family)
+        assert chebyshev._product_integrals(b, v, ns)[4] == product_integral_pl(objects[4])
 
 
 class TestPadding:

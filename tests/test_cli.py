@@ -188,6 +188,22 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_documents_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, some 15 ms, on its first call; no command needs it.
+    argvs = [GOLDEN_CASES[name] for name in ("integrate.json", "bound.csv", "divergence.json",
+                                             "criterion.csv", "inequality_check.csv")]
+    code = ("import contextlib, io, sys\n"
+            "import arccover.cli as cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def mp_inequality_lhs(mpmath, family) -> float:
     """eps**(n-1) * integral(prod f_k) by mpmath.quad between merged breakpoints."""
     with mpmath.workdps(40):
@@ -367,6 +383,51 @@ class TestRender:
             assert all(f",{word}," in expected for word in ("inf", "-inf", "nan", "-0"))
         else:
             assert len(json.loads(document)["rows"]) == count
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_floats_only_in_a_later_block(self, fmt):
+        # Block one holds finite floats only, block two an inf and a nan.
+        count = cli._BLOCK_ROWS + 10
+        x = np.linspace(-1.0, 1.0, count)
+        x[cli._BLOCK_ROWS + 3] = np.inf
+        x[cli._BLOCK_ROWS + 7] = np.nan
+        columns = {"x": x, "as_list": x.tolist()}
+        document = render(RunConfig(command="criterion", format=fmt), columns)
+        assert document.endswith(rows_by_cell_rule(columns, fmt == "json"))
+        if fmt == "json":
+            rows = json.loads(document)["rows"]
+            assert rows[cli._BLOCK_ROWS + 3]["x"] is None and rows[cli._BLOCK_ROWS + 7]["as_list"] is None
+        else:
+            assert "\ninf,inf\n" in document and "\nnan,nan\n" in document
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_int64_and_bool_columns_across_a_block_edge(self, fmt):
+        count = cli._BLOCK_ROWS + 5
+        columns = {
+            "count": np.arange(-2, count - 2, dtype=np.int64) * (2**40),
+            "flag": np.arange(count) % 3 == 0,
+            "trial": range(count),
+        }
+        document = render(RunConfig(command="criterion", format=fmt), columns)
+        assert document.endswith(rows_by_cell_rule(columns, fmt == "json"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_name_with_percent(self, fmt):
+        columns = {"%d": [1, 2], "50%s": [0.5, float("inf")], "x%%": ["a%sb", "%"]}
+        document = render(RunConfig(command="criterion", format=fmt), columns)
+        assert document.endswith(rows_by_cell_rule(columns, fmt == "json"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("trials", [6, 7, 8])
+def test_inequality_chunks_keep_the_bytes(trials, fmt, monkeypatch, capsys):
+    # Trials run in chunks of cli._TRIAL_CHUNK; 6, 7 and 8 trials in chunks
+    # of 7 give the bytes of one whole chunk.
+    argv = ["inequality-check", "--trials", str(trials), "--seed", "3", "--format", fmt]
+    whole = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "_TRIAL_CHUNK", 7)
+    assert run_cli(argv, capsys) == whole
 
 
 class TestExitCodes:
