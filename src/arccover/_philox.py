@@ -4,7 +4,7 @@ Replication r of a simulation with master seed s draws its uniforms from
 ``Generator(Philox(SeedSequence(entropy=s, spawn_key=(r,)))).random``.
 Building those objects costs about 20 µs per replication, far more than
 the few draws a short replication makes.  This module computes the same
-doubles for a whole array of replications with numpy array operations:
+doubles for a whole array of replications:
 
 * the key is SeedSequence's 32-bit hash pool (numpy's
   ``bit_generator.pyx``) run on uint32 arrays, one entropy word at a time
@@ -13,9 +13,16 @@ doubles for a whole array of replications with numpy array operations:
   random numbers: as easy as 1, 2, 3", SC'11): word j of a stream is lane
   ``j % 4`` of the block for counter ``(j // 4 + 1, 0, 0, 0)``, which is
   numpy's order, so any column range costs only the blocks it touches;
-  the rounds run in place, with ufunc ``out=`` arguments, on cache-sized
-  tiles of the (replications x blocks) counter grid;
 * a double is ``(word >> 11) * 2**-53``, as ``Generator.random`` makes it.
+
+The words come by one of two paths, chosen by the number of columns a
+call asks of each row.  From ``_ROW_DRAW_MIN`` columns up, one numpy
+``Philox`` is built per call, and for each row its state is set to the
+row's key and first counter and its ``Generator.random`` fills the row:
+3-6 µs per row, then about 8 ns per word.  Below that, the rounds run as
+numpy array operations, in place, with ufunc ``out=`` arguments, on
+cache-sized tiles of the (replications x blocks) counter grid: about
+50 ns per word, with no per-row cost.
 
 The tests check every piece bit for bit against numpy's own classes.
 """
@@ -38,6 +45,11 @@ _PHILOX_ROUNDS = 10
 # 2.25 MiB, about one core's L2 cache on the 2-core Xeon (2 MiB L2 per
 # core) where 2**15 ran as fast as or faster than 2**13, 2**14 and 2**16.
 _TILE_BUDGET = 1 << 15
+# Columns per row from which ``uniforms`` draws each row through numpy's
+# own Philox.  There a row costs 3-6 µs to set up and a word about 8 ns,
+# against about 50 ns a word in the tiled kernel (2-core x86-64 VM), so
+# the two break even near 100 columns.
+_ROW_DRAW_MIN = 128
 
 _U32 = np.uint32
 _LOW = np.uint64(_MASK32)
@@ -190,19 +202,50 @@ def philox4x64(key0: np.ndarray, key1: np.ndarray, blocks: np.ndarray) -> np.nda
     return out
 
 
-def uniforms(seed: int, indices: np.ndarray, start: int, stop: int) -> np.ndarray:
+def uniforms(seed: int, indices: np.ndarray, start: int, stop: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Columns ``start:stop`` of each replication's ``Generator.random`` stream.
 
     Row i equals ``Generator(Philox(SeedSequence(entropy=seed,
-    spawn_key=(indices[i],)))).random(stop)[start:]`` bit for bit.
+    spawn_key=(indices[i],)))).random(stop)[start:]`` bit for bit.  The
+    rows are written to ``out`` when given: float64 of shape
+    ``(len(indices), stop - start)`` whose rows are contiguous.
     """
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
+    if out is None:
+        out = np.empty((indices.size, stop - start), dtype=np.float64)
     key0, key1 = replication_keys(seed, indices)
-    first, last = start // 4, -(-stop // 4)
-    words = philox4x64(key0, key1, np.arange(first, last, dtype=np.uint64))
-    words = words.reshape(indices.size, -1)[:, start - 4 * first:stop - 4 * first]
-    centers = np.right_shift(words, np.uint64(11), out=words).astype(np.float64)
-    centers *= 1.0 / 9007199254740992.0
-    return centers
+    first = start // 4
+    if stop - start >= _ROW_DRAW_MIN:
+        _draw_rows(np.stack((key0, key1), axis=1), first, start - 4 * first, out)
+        return out
+    blocks = np.arange(first, -(-stop // 4), dtype=np.uint64)
+    words = philox4x64(key0, key1, blocks).reshape(indices.size, 4 * blocks.size)
+    words = words[:, start - 4 * first:stop - 4 * first]
+    np.right_shift(words, np.uint64(11), out=words)
+    np.multiply(words, 1.0 / 9007199254740992.0, out=out)
+    return out
+
+
+def _draw_rows(keys: np.ndarray, block: int, skip: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` from the stream keyed by ``keys[i]``, from word
+    ``4 * block + skip`` on, through one numpy ``Philox``.
+
+    numpy's Philox bumps its counter before it makes a block, so a state
+    with counter ``block`` and an empty buffer starts at that block's
+    first word.  The generator is built here rather than at import, so
+    that importing the package does not load ``numpy.random``.
+    """
+    bitgen = np.random.Philox(0)
+    draw = np.random.Generator(bitgen).random
+    state = bitgen.state
+    state["state"]["counter"] = np.array([block, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 4
+    for key, row in zip(keys, out):
+        state["state"]["key"] = key
+        bitgen.state = state
+        if skip:
+            bitgen.random_raw(skip)
+        draw(out=row)

@@ -17,8 +17,11 @@ Two models of the uncovered set give the same coverage decisions:
 Reproducibility contract: replication r with master seed s draws its
 centres from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``, so
 results do not depend on the order in which replications run.  The
-batched model computes those streams for many replications at once with
-the numpy kernel in :mod:`arccover._philox`.
+batched model draws those streams for many replications at once with
+:func:`arccover._philox.uniforms`: a prefix that adds at least
+``_philox._ROW_DRAW_MIN`` (128) columns fills each row through numpy's
+own Philox, set to the row's key, and a shorter one runs the numpy
+Philox kernel over all rows at once.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -196,27 +199,44 @@ _FIRST_PREFIX = 64
 _PREFIX_GROWTH = 4
 
 
-def _uncovered_measure(centers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _uncovered_measure(centers: np.ndarray, lengths: np.ndarray,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Uncovered measure of each row's arcs; exactly 0.0 iff the row covers the circle.
 
-    Each arc enters as the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))``
-    and, on wrap, ``[0, u+l-1)``.  All wrapped pieces start at 0, so they
-    join into one ``[0, reach0)`` with ``reach0 = max(u+l) - 1`` (exact,
-    as ``u+l`` lies in [1, 2)).  Sorted by start, piece i leaves the gap
+    Row i's arcs have centres ``centers[i, :m]`` and lengths ``lengths``
+    (m = ``lengths.size``; ``centers`` may be wider).  Each arc enters as
+    the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))`` and, on wrap,
+    ``[0, u+l-1)``.  All wrapped pieces start at 0, so they join into one
+    ``[0, reach0)`` with ``reach0 = max(u+l) - 1`` (exact, as ``u+l`` lies
+    in [1, 2)).  Sorted by start, piece i leaves the gap
     ``[reach, start_i)`` when it starts past the running maximum of the
     ends before it; the last reach leaves ``[reach, 1)``.  Ends are not
     clipped to 1: once the reach passes 1 no start (all < 1) can pass it.
     Only comparisons decide whether a gap is empty, so the covered flag
     is the gap list's flag; a positive gap makes the sum positive.
+
+    The sorted starts and lengths are gathered by flat indices into
+    ``scratch``, three float64 rows of at least ``len(centers) * m``
+    (allocated here when not given); ``argsort`` makes the only array
+    of that size that the call allocates.
     """
-    hi = centers + lengths
-    reach0 = np.maximum(hi.max(axis=1) - 1.0, 0.0)
-    order = np.argsort(centers, axis=1)
-    starts = np.take_along_axis(centers, order, axis=1)
-    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    rows, width, m = centers.shape[0], centers.shape[1], lengths.size
+    if scratch is None:
+        scratch = np.empty((3, rows * m))
+    starts, hi, reach = (buf[:rows * m].reshape(rows, m) for buf in scratch)
+    order = np.argsort(centers[:, :m], axis=1)
+    np.take(lengths, order, out=hi, mode="clip")
+    order += np.arange(0, rows * width, width)[:, None]
+    np.take(centers.reshape(-1), order, out=starts, mode="clip")
+    np.add(hi, starts, out=hi)  # u + l, in start order
+    np.maximum.accumulate(hi, axis=1, out=reach)
+    reach0 = np.maximum(reach[:, -1] - 1.0, 0.0)  # the last reach is max(u + l)
     np.maximum(reach, reach0[:, None], out=reach)
+    terms = scratch[1, :rows * (m - 1)].reshape(rows, m - 1)  # over hi, now spent
+    np.subtract(starts[:, 1:], reach[:, :-1], out=terms)
+    np.maximum(terms, 0.0, out=terms)
     gaps = np.maximum(starts[:, 0] - reach0, 0.0)
-    gaps += np.maximum(starts[:, 1:] - reach[:, :-1], 0.0).sum(axis=1)
+    gaps += terms.sum(axis=1)
     gaps += np.maximum(1.0 - reach[:, -1], 0.0)
     return gaps
 
@@ -226,24 +246,33 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
 
     A replication is done when a prefix of its arcs covers the circle
     (measure 0.0: more arcs cannot uncover it) or when all its arcs have
-    been swept.  Prefix sweeps draw only the stream columns they add.
+    been swept.  Prefix sweeps draw only the stream columns they add,
+    into one centres buffer of a chunk's rows by n; the rows still
+    active move up to its top.  That buffer and the measure's scratch
+    are allocated once per call.
     """
     n = lengths.size
-    rows = max(1, _SWEEP_BUDGET // n)
+    rows = min(reps, max(1, _SWEEP_BUDGET // n))
     out = np.empty(reps, dtype=np.float64)
+    centers = np.empty((rows, n))
+    scratch = np.empty((3, rows * n))
     for first in range(0, reps, rows):
         active = np.arange(first, min(reps, first + rows))
-        centers = np.empty((active.size, 0))
         m = 0
         while active.size:
             grown = max(_FIRST_PREFIX, _PREFIX_GROWTH * m)
             grown = n if _PREFIX_GROWTH * grown >= n else grown
-            centers = np.concatenate((centers, uniforms(seed, active, m, grown)), axis=1)
+            k = active.size
+            uniforms(seed, active, m, grown, out=centers[:k, m:grown])
             m = grown
-            measure = _uncovered_measure(centers, lengths[:m])
+            measure = _uncovered_measure(centers[:k], lengths[:m], scratch)
             done = (measure == 0.0) | (m == n)
             out[active[done]] = measure[done]
-            active, centers = active[~done], centers[~done]
+            active = active[~done]
+            if 0 < active.size < k:
+                kept = scratch[0, :active.size * m].reshape(active.size, m)
+                np.take(centers[:k, :m], np.flatnonzero(~done), axis=0, out=kept, mode="clip")
+                centers[:active.size, :m] = kept
     return out
 
 

@@ -1,9 +1,12 @@
-"""Print a sha256 of every CLI document the goldens and the benchmark produce.
+"""Print a sha256 of every document the goldens and the benchmark produce.
 
 One ``sha256 label`` line per document: each ``GOLDEN_CASES`` command,
-then each CLI operation of ``bench/workloads.build`` at seeds 1, 7 and
-101, at full and at smoke size.  A change that must not move any byte
-runs this before and after, and diffs the two outputs:
+then each operation of ``bench/workloads.build`` at seeds 1, 7 and 101,
+at full and at smoke size.  A CLI operation's document is its standard
+output; the ``gap_measure_samples`` library operation's is its samples,
+one ``repr`` a line, as ``bench/worker.py`` renders them.  A change
+that must not move any byte runs this before and after, and diffs the
+two outputs:
 
     PYTHONPATH=src python tests/document_hashes.py > before.txt
     (apply the change)
@@ -20,6 +23,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from arccover.cli import main
+from arccover.covering import gap_measure_samples
+from arccover.sequences import LengthSequence
 
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
@@ -39,18 +44,27 @@ def document(argv) -> str:
     return buffer.getvalue()
 
 
-def commands():
-    """(label, argv) of every document, goldens first."""
+def samples_document(params: dict) -> str:
+    seq = LengthSequence(params["seq"]["family"], c=params["seq"]["c"], cap=params["seq"]["cap"])
+    samples = gap_measure_samples(seq, params["n"], params["reps"], params["seed"])
+    return "\n".join(map(repr, samples.tolist())) + "\n"
+
+
+def documents():
+    """(label, text) of every document, goldens first."""
     for name, argv in sorted(GOLDEN_CASES.items()):
-        yield f"golden/{name}", argv
+        yield f"golden/{name}", document(argv)
     for workload in WORKLOADS:
         for seed in SEEDS:
             for size, smoke in (("full", False), ("smoke", True)):
                 for op in build(workload, seed, smoke):
+                    label = f"{workload}/seed{seed}/{size}/{op.label}"
                     if op.argv is not None:
-                        yield f"{workload}/seed{seed}/{size}/{op.label}", op.argv
+                        yield label, document(op.argv)
+                    else:
+                        yield label, samples_document(op.params)
 
 
 if __name__ == "__main__":
-    for label, argv in commands():
-        print(hashlib.sha256(document(argv).encode()).hexdigest(), label, flush=True)
+    for label, text in documents():
+        print(hashlib.sha256(text.encode()).hexdigest(), label, flush=True)

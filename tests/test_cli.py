@@ -188,6 +188,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random(tmp_path):
+    # numpy.random costs about 12 ms to import; the covering draws load it
+    # inside the call, so only commands that draw pay for it.
+    code = "import arccover, arccover.cli, sys; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_documents_load_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma, some 15 ms, on its first call; no command needs it.
     argvs = [GOLDEN_CASES[name] for name in ("integrate.json", "bound.csv", "divergence.json",

@@ -396,6 +396,28 @@ class TestSortAndSweep:
         assert 0 < result.covered_count < reps
         np.testing.assert_array_equal(gap_measure_samples(seq, n, reps, seed), full)
 
+    @pytest.mark.parametrize("budget", [3000 * 25, 3000 * 120, 3000 * 7 + 1])
+    def test_reused_buffers_match_whole_array_oracle(self, budget, monkeypatch):
+        # 25 rows a chunk: four full chunks and a short one of 20; 120 rows:
+        # one chunk; 7 rows: 17 full chunks and one of 1.  Replications that
+        # cover within a prefix move the rest up their chunk's buffers.
+        seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 3000, 120, 5
+        lengths = generate(seq, n)
+        full = _uncovered_measure(uniforms(seed, np.arange(reps), 0, n), lengths)
+        monkeypatch.setattr(covering, "_SWEEP_BUDGET", budget)
+        np.testing.assert_array_equal(gap_measure_samples(seq, n, reps, seed), full)
+        assert coverage_probability(seq, n, reps, seed).covered_count == np.count_nonzero(full == 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 64, 1000])
+    def test_measure_with_scratch_and_wider_centres(self, m):
+        rng = np.random.default_rng(m)
+        centers, lengths = rng.random((30, m + 5)), rng.uniform(0.0, min(0.99, 12.0 / m), m)
+        want = _uncovered_measure(np.ascontiguousarray(centers[:, :m]), lengths)
+        scratch = np.full((3, centers.size + 7), np.nan)
+        np.testing.assert_array_equal(_uncovered_measure(centers, lengths, scratch), want)
+        np.testing.assert_array_equal(_uncovered_measure(centers[:, :m], lengths), want)
+        assert m < 64 or 0 < np.count_nonzero(want == 0.0) < want.size
+
     def test_matches_gap_list_on_numpy_streams(self):
         seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 400, 80, 2**33 + 1
         lengths = generate(seq, n).tolist()

@@ -74,12 +74,40 @@ def test_uniforms_match_generator(seed, n):
         np.testing.assert_array_equal(row, numpy_stream(seed, int(r)).random(n))
 
 
-@pytest.mark.parametrize("start, stop", [(5, 23), (3, 4), (4, 8), (7, 7), (61, 130)])
+# Ranges of 127, 128 and 129 columns straddle _ROW_DRAW_MIN, from the
+# start of a block, from inside one and from a multiple of 64.
+ROW_PATH_EDGES = [(start, start + width) for start in (0, 5, 61, 64) for width in (127, 128, 129)]
+
+
+@pytest.mark.parametrize("start, stop", [(5, 23), (3, 4), (4, 8), (7, 7), (61, 130)] + ROW_PATH_EDGES)
 def test_column_range_inside_stream(start, stop):
     reps = np.arange(0, 300, 13)
     got = uniforms(2**40 + 9, reps, start, stop)
     for row, r in zip(got, reps):
         np.testing.assert_array_equal(row, numpy_stream(2**40 + 9, int(r)).random(stop)[start:])
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (6, 6), (0, 3), (5, 23), (61, 130), (64, 200)]
+                         + ROW_PATH_EDGES)
+@pytest.mark.parametrize("reps", [np.arange(0), np.array([0, 7, 2**32 - 1])], ids=["empty", "three"])
+def test_row_and_tile_paths_agree(start, stop, reps, monkeypatch):
+    monkeypatch.setattr(_philox, "_ROW_DRAW_MIN", 0)
+    by_rows = uniforms(31, reps, start, stop)
+    monkeypatch.setattr(_philox, "_ROW_DRAW_MIN", 1 << 62)
+    by_tiles = uniforms(31, reps, start, stop)
+    assert by_rows.shape == by_tiles.shape == (reps.size, stop - start)
+    np.testing.assert_array_equal(by_rows, by_tiles)
+
+
+@pytest.mark.parametrize("start, stop", [(5, 23), (64, 200)])
+def test_out_rows_inside_a_wider_buffer(start, stop):
+    reps = np.arange(9)
+    buffer = np.full((reps.size + 2, stop + 3), np.nan)
+    view = buffer[:reps.size, start:stop]
+    assert uniforms(3, reps, start, stop, out=view) is view
+    np.testing.assert_array_equal(view, uniforms(3, reps, start, stop))
+    assert np.isnan(buffer[:, :start]).all() and np.isnan(buffer[:, stop:]).all()
+    assert np.isnan(buffer[reps.size:]).all()
 
 
 def test_bad_arguments():
