@@ -29,6 +29,8 @@ The tests check every piece bit for bit against numpy's own classes.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -58,11 +60,14 @@ _PHILOX_M_HALVES = tuple((m & _LOW, m >> _32) for m in _PHILOX_M)
 
 
 def check_seed(seed: int) -> int:
-    """The seed as a Python int; a SeedSequence entropy value must be >= 0."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    """The seed as a Python int; like SeedSequence entropy, an integer >= 0 (not a float)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def _words(value: int) -> list[int]:

@@ -56,20 +56,15 @@ VALUE_FLOOR = 1e-6
 _EXACT_FUNCTIONS = 2 * MAX_NODES - 1
 
 
-def _check_rows(breakpoints: np.ndarray, values: np.ndarray, counts: np.ndarray, direction: str) -> None:
-    """Raise ValueError unless each row is a positive monotone polyline on [0, eps].
-
-    Row i is its first ``counts[i]`` entries; the rest repeat its last
-    breakpoint and value.
-    """
+def _check_rows(breakpoints: np.ndarray, values: np.ndarray, direction: str) -> None:
+    """Raise ValueError unless each row is a positive monotone polyline on [0, eps]."""
     b, v = breakpoints, values
     if not (np.isfinite(b).all() and np.isfinite(v).all()):
         raise ValueError("breakpoints and values must be finite")
     starts = b[:, 0]
     if (starts != 0.0).any():
         raise ValueError(f"breakpoints must start at 0, got {starts[starts != 0.0][0]}")
-    live = np.arange(b.shape[1] - 1) < counts[:, None] - 1
-    if ((b[:, 1:] <= b[:, :-1]) & live).any():
+    if (b[:, 1:] <= b[:, :-1]).any():
         raise ValueError("breakpoints must be strictly ascending")
     if (v <= 0.0).any():
         raise ValueError("values must be strictly positive")
@@ -101,7 +96,7 @@ class MonotonePiecewiseLinear:
         v = np.asarray(self.values, dtype=np.float64)
         if b.ndim != 1 or v.ndim != 1 or b.size != v.size or b.size < 2:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length >= 2")
-        _check_rows(b[None], v[None], np.array([b.size]), self.direction)
+        _check_rows(b[None], v[None], self.direction)
         b.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", b)

@@ -9,10 +9,11 @@ Two models of the uncovered set give the same coverage decisions:
 * the incremental one keeps a sorted list of disjoint half-open gaps
   inside [0, 1) (a gap crossing zero is stored as two pieces) and
   subtracts one arc at a time (``apply_arc``, ``first_cover_index``);
-* the batched one sorts each replication's arc pieces by start and
-  sweeps the running maximum of their ends (``coverage_probability``,
-  ``gap_measure_samples``).  It sweeps prefixes of growing length and
-  drops a replication as soon as a prefix covers the circle.
+* the batched one sorts each replication's arc starts and arc ends
+  apart and sums the gaps between the k-th end and the (k+1)-th start
+  (``coverage_probability``, ``gap_measure_samples``).  It sweeps
+  prefixes of growing length and drops a replication as soon as a
+  prefix covers the circle.
 
 Reproducibility contract: replication r with master seed s draws its
 centres from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``, so
@@ -199,45 +200,34 @@ _FIRST_PREFIX = 64
 _PREFIX_GROWTH = 4
 
 
-def _uncovered_measure(centers: np.ndarray, lengths: np.ndarray,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
+def _uncovered_measure(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Uncovered measure of each row's arcs; exactly 0.0 iff the row covers the circle.
 
-    Row i's arcs have centres ``centers[i, :m]`` and lengths ``lengths``
-    (m = ``lengths.size``; ``centers`` may be wider).  Each arc enters as
-    the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))`` and, on wrap,
-    ``[0, u+l-1)``.  All wrapped pieces start at 0, so they join into one
-    ``[0, reach0)`` with ``reach0 = max(u+l) - 1`` (exact, as ``u+l`` lies
-    in [1, 2)).  Sorted by start, piece i leaves the gap
-    ``[reach, start_i)`` when it starts past the running maximum of the
-    ends before it; the last reach leaves ``[reach, 1)``.  Ends are not
-    clipped to 1: once the reach passes 1 no start (all < 1) can pass it.
+    Row i's arcs ``[u, u + l)`` enter as their starts u and ends u + l,
+    each row sorted ascending on its own, so that S_k and E_k are the
+    k-th smallest start and end of m (neither array is written).  Each
+    arc is the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))`` and, on
+    wrap, ``[0, u+l-1)``.  All wrapped pieces start at 0, so they join
+    into one ``[0, reach0)`` with ``reach0 = max(E_m - 1, 0)`` (exact, as
+    ``u+l`` lies in [1, 2)).  Taken by start, the (k+1)-th arc leaves the
+    gap ``[R_k, S_{k+1})`` past the running maximum R_k of the ends
+    before it.  So the gaps are ``[reach0, S_1)``,
+    ``[max(E_k, reach0), S_{k+1})`` and ``[E_m, 1)``, where nonempty:
+    ``S_{k+1} > R_k`` iff ``S_{k+1} > E_k``, and then ``R_k = E_k``.  For
+    E_k <= R_k, the largest of k ends; and if k ends lie below S_{k+1},
+    they are those of the k arcs before it, as no end is below its own
+    start.  Ends are not clipped to 1: past 1 no start (all < 1) can
+    leave a gap.
     Only comparisons decide whether a gap is empty, so the covered flag
     is the gap list's flag; a positive gap makes the sum positive.
-
-    The sorted starts and lengths are gathered by flat indices into
-    ``scratch``, three float64 rows of at least ``len(centers) * m``
-    (allocated here when not given); ``argsort`` makes the only array
-    of that size that the call allocates.
     """
-    rows, width, m = centers.shape[0], centers.shape[1], lengths.size
-    if scratch is None:
-        scratch = np.empty((3, rows * m))
-    starts, hi, reach = (buf[:rows * m].reshape(rows, m) for buf in scratch)
-    order = np.argsort(centers[:, :m], axis=1)
-    np.take(lengths, order, out=hi, mode="clip")
-    order += np.arange(0, rows * width, width)[:, None]
-    np.take(centers.reshape(-1), order, out=starts, mode="clip")
-    np.add(hi, starts, out=hi)  # u + l, in start order
-    np.maximum.accumulate(hi, axis=1, out=reach)
-    reach0 = np.maximum(reach[:, -1] - 1.0, 0.0)  # the last reach is max(u + l)
-    np.maximum(reach, reach0[:, None], out=reach)
-    terms = scratch[1, :rows * (m - 1)].reshape(rows, m - 1)  # over hi, now spent
-    np.subtract(starts[:, 1:], reach[:, :-1], out=terms)
+    reach0 = np.maximum(ends[:, -1] - 1.0, 0.0)
+    terms = np.maximum(ends[:, :-1], reach0[:, None])
+    np.subtract(starts[:, 1:], terms, out=terms)
     np.maximum(terms, 0.0, out=terms)
     gaps = np.maximum(starts[:, 0] - reach0, 0.0)
     gaps += terms.sum(axis=1)
-    gaps += np.maximum(1.0 - reach[:, -1], 0.0)
+    gaps += np.maximum(1.0 - ends[:, -1], 0.0)
     return gaps
 
 
@@ -246,16 +236,20 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
 
     A replication is done when a prefix of its arcs covers the circle
     (measure 0.0: more arcs cannot uncover it) or when all its arcs have
-    been swept.  Prefix sweeps draw only the stream columns they add,
-    into one centres buffer of a chunk's rows by n; the rows still
-    active move up to its top.  That buffer and the measure's scratch
-    are allocated once per call.
+    been swept.  The measure needs only each row's sorted starts S and
+    sorted ends E, not which end belongs to which start: before the
+    wrapped pieces are cut out, the gaps are ``[E_k, S_{k+1})`` wherever
+    ``S_{k+1} > E_k``, since the k ends below S_{k+1} are then those of
+    the k arcs that start before it (``_uncovered_measure``).  So a
+    chunk's rows keep one buffer of starts and one of ends, allocated
+    once per call.  A prefix draws only the stream columns it adds, into
+    the starts, adds their lengths into the ends, and sorts both
+    prefixes in place; the rows still active move up to the top.
     """
     n = lengths.size
     rows = min(reps, max(1, _SWEEP_BUDGET // n))
     out = np.empty(reps, dtype=np.float64)
-    centers = np.empty((rows, n))
-    scratch = np.empty((3, rows * n))
+    starts, ends = np.empty((rows, n)), np.empty((rows, n))
     for first in range(0, reps, rows):
         active = np.arange(first, min(reps, first + rows))
         m = 0
@@ -263,16 +257,19 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
             grown = max(_FIRST_PREFIX, _PREFIX_GROWTH * m)
             grown = n if _PREFIX_GROWTH * grown >= n else grown
             k = active.size
-            uniforms(seed, active, m, grown, out=centers[:k, m:grown])
+            drawn = uniforms(seed, active, m, grown, out=starts[:k, m:grown])
+            np.add(drawn, lengths[m:grown], out=ends[:k, m:grown])
             m = grown
-            measure = _uncovered_measure(centers[:k], lengths[:m], scratch)
+            for buf in starts[:k, :m], ends[:k, :m]:
+                buf.sort(axis=1)
+            measure = _uncovered_measure(starts[:k, :m], ends[:k, :m])
             done = (measure == 0.0) | (m == n)
             out[active[done]] = measure[done]
             active = active[~done]
             if 0 < active.size < k:
-                kept = scratch[0, :active.size * m].reshape(active.size, m)
-                np.take(centers[:k, :m], np.flatnonzero(~done), axis=0, out=kept, mode="clip")
-                centers[:active.size, :m] = kept
+                kept = np.flatnonzero(~done)
+                for buf in starts, ends:
+                    buf[:active.size, :m] = buf[kept, :m]
     return out
 
 

@@ -2,9 +2,12 @@
 
 One ``sha256 label`` line per document: each ``GOLDEN_CASES`` command,
 then each operation of ``bench/workloads.build`` at seeds 1, 7 and 101,
-at full and at smoke size.  A CLI operation's document is its standard
-output; the ``gap_measure_samples`` library operation's is its samples,
-one ``repr`` a line, as ``bench/worker.py`` renders them.  A change
+at full and at smoke size, then ``gap_measure_samples`` of
+``EARLY_COVER`` at each of those seeds, whose replications cover at
+different prefixes of their arcs (the benchmark's shape covers none
+early).  A CLI operation's document is its standard output; a
+``gap_measure_samples`` document is its samples, one ``repr`` a line,
+as ``bench/worker.py`` renders them.  A change
 that must not move any byte runs this before and after, and diffs the
 two outputs:
 
@@ -33,6 +36,7 @@ from test_cli import GOLDEN_CASES  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 7, 101)
+EARLY_COVER = {"seq": {"family": "harmonic", "c": 0.7, "cap": 0.99}, "n": 3000, "reps": 120}
 
 
 def document(argv) -> str:
@@ -63,6 +67,8 @@ def documents():
                         yield label, document(op.argv)
                     else:
                         yield label, samples_document(op.params)
+    for seed in SEEDS:
+        yield f"early-cover/seed{seed}/gap-measure-samples", samples_document({**EARLY_COVER, "seed": seed})
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class TestMonotonePiecewiseLinear:
             polyline(points, values, "increasing")
         b, v = np.array([points]), np.array([values])
         with pytest.raises(ValueError, match="finite"):
-            chebyshev._check_rows(b, v, np.array([3]), "increasing")
+            chebyshev._check_rows(b, v, "increasing")
 
     def test_constants_allowed_both_ways(self):
         polyline([0.0, 1.0], [1.0, 1.0], "increasing")

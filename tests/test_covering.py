@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,12 +376,39 @@ def arcs_ending_at_one(draw):
     return arcs or [(0.5, 0.5)]
 
 
+def sorted_measure(centers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The measure of each row of arcs, from its separately sorted starts and ends."""
+    return _uncovered_measure(np.sort(centers, axis=1), np.sort(centers + lengths, axis=1))
+
+
+def argsort_measure(centers: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The earlier form of the measure: each row's arcs sorted by start, then
+    the running maximum of their ends, with the same terms summed in the
+    same order."""
+    order = np.argsort(centers, axis=1)
+    starts = np.take_along_axis(centers, order, axis=1)
+    reach = np.maximum.accumulate(lengths[order] + starts, axis=1)
+    reach0 = np.maximum(reach[:, -1] - 1.0, 0.0)
+    reach = np.maximum(reach, reach0[:, None])
+    terms = np.maximum(starts[:, 1:] - reach[:, :-1], 0.0)
+    gaps = np.maximum(starts[:, 0] - reach0, 0.0)
+    gaps += terms.sum(axis=1)
+    gaps += np.maximum(1.0 - reach[:, -1], 0.0)
+    return gaps
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestSortAndSweep:
     @given(st.one_of(random_arcs, dyadic_arcs, arcs_ending_at_one()))
     @settings(max_examples=600, deadline=None)
     def test_flag_and_measure_match_gap_list(self, arcs):
         centers, lengths = (np.array(v) for v in zip(*arcs))
-        measure = _uncovered_measure(centers[None, :], lengths)[0]
+        measures = sorted_measure(centers[None, :], lengths)
+        assert_same_bits(measures, argsort_measure(centers[None, :], lengths))
+        measure = measures[0]
         covered = _first_cover(lengths.tolist(), centers.tolist()) is not None
         assert (measure == 0.0) == covered
         gaps = gap_list_after(centers.tolist(), lengths.tolist())
@@ -390,7 +418,7 @@ class TestSortAndSweep:
         # c = 0.7, n = 3000: replications first cover within 64 arcs, within
         # 256, later, and never, and 120 replications make two batches.
         seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 3000, 120, 5
-        full = _uncovered_measure(uniforms(seed, np.arange(reps), 0, n), generate(seq, n))
+        full = sorted_measure(uniforms(seed, np.arange(reps), 0, n), generate(seq, n))
         result = coverage_probability(seq, n, reps, seed)
         assert result.covered_count == np.count_nonzero(full == 0.0)
         assert 0 < result.covered_count < reps
@@ -403,20 +431,41 @@ class TestSortAndSweep:
         # cover within a prefix move the rest up their chunk's buffers.
         seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 3000, 120, 5
         lengths = generate(seq, n)
-        full = _uncovered_measure(uniforms(seed, np.arange(reps), 0, n), lengths)
+        full = sorted_measure(uniforms(seed, np.arange(reps), 0, n), lengths)
         monkeypatch.setattr(covering, "_SWEEP_BUDGET", budget)
         np.testing.assert_array_equal(gap_measure_samples(seq, n, reps, seed), full)
         assert coverage_probability(seq, n, reps, seed).covered_count == np.count_nonzero(full == 0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 64, 1000])
-    def test_measure_with_scratch_and_wider_centres(self, m):
+    def test_same_bits_as_argsort_reference(self, m):
         rng = np.random.default_rng(m)
-        centers, lengths = rng.random((30, m + 5)), rng.uniform(0.0, min(0.99, 12.0 / m), m)
-        want = _uncovered_measure(np.ascontiguousarray(centers[:, :m]), lengths)
-        scratch = np.full((3, centers.size + 7), np.nan)
-        np.testing.assert_array_equal(_uncovered_measure(centers, lengths, scratch), want)
-        np.testing.assert_array_equal(_uncovered_measure(centers[:, :m], lengths), want)
+        centers, lengths = rng.random((30, m)), rng.uniform(0.0, min(0.99, 12.0 / m), m)
+        want = argsort_measure(centers, lengths)
+        assert_same_bits(sorted_measure(centers, lengths), want)
         assert m < 64 or 0 < np.count_nonzero(want == 0.0) < want.size
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 40])
+    def test_same_bits_as_argsort_reference_on_grid_arcs(self, m):
+        # Centres k/64 and lengths j/64: starts tie, ends tie, ends meet
+        # starts and 1.0 exactly, and the argsort order among ties is free.
+        rng = np.random.default_rng(64 + m)
+        centers = rng.integers(0, 64, (2000, m)) / 64
+        lengths = rng.integers(1, min(64, 512 // m), m) / 64
+        want = argsort_measure(centers, lengths)
+        assert_same_bits(sorted_measure(centers, lengths), want)
+        assert m == 1 or 0 < np.count_nonzero(want == 0.0) < want.size
+
+    def test_peak_memory_of_the_sweep(self):
+        # Two buffers of _SWEEP_BUDGET doubles, and the measure's terms.
+        seq, limit = LengthSequence.harmonic(c=0.5), 3 * covering._SWEEP_BUDGET * 8 + 2**20
+        gap_measure_samples(seq, 200, 2, 9)  # loads numpy.random outside the trace
+        tracemalloc.start()
+        try:
+            gap_measure_samples(seq, 5000, 200, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
     def test_matches_gap_list_on_numpy_streams(self):
         seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 400, 80, 2**33 + 1

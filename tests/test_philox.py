@@ -111,8 +111,10 @@ def test_out_rows_inside_a_wider_buffer(start, stop):
 
 
 def test_bad_arguments():
-    with pytest.raises(ValueError, match="seed"):
-        check_seed(-1)
+    for seed in (-1, 2.7, "5"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            check_seed(seed)
+    assert check_seed(np.int64(5)) == 5 and type(check_seed(np.int64(5))) is int
     with pytest.raises(ValueError, match="seed"):
         uniforms(-5, np.arange(3), 0, 4)
     with pytest.raises(ValueError, match="replication"):
