@@ -148,7 +148,7 @@ def segmented_gauss_legendre(breakpoints, order: int) -> tuple[np.ndarray, np.nd
 
 
 def product_rule(breakpoints: np.ndarray, degree, log_integrand, nodes: int | None = None):
-    """Nodes, weights, node count q and piece count for a product of positive piecewise-linear factors.
+    """Nodes, weights, node count q and segment map for a product of positive piecewise-linear factors.
 
     ``degree`` is the product's degree on each segment of the ascending
     ``breakpoints`` (or one for all).  q = min(ceil((max degree + 1)/2),
@@ -160,14 +160,15 @@ def product_rule(breakpoints: np.ndarray, degree, log_integrand, nodes: int | No
     product's heaviest piece (the first if it decreases, the last if it
     increases) changes by at most 1 in log, where q nodes are at
     roundoff; every other piece is smaller by the drop between them.
+    The nodes come q per piece; the segment map holds each piece's segment.
     """
     q = min(math.ceil((np.max(degree) + 1) / 2), MAX_NODES) if nodes is None else int(nodes)
     high = np.asarray(degree) > 2 * q - 1
     if not high.any():
-        return (*segmented_gauss_legendre(breakpoints, q), q, breakpoints.size - 1)
+        return (*segmented_gauss_legendre(breakpoints, q), q, np.arange(breakpoints.size - 1))
     drop = np.abs(np.diff(log_integrand(breakpoints)))
     pieces = np.where(high, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
     seg = np.repeat(np.arange(pieces.size), pieces)
     offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     edges = np.append(breakpoints[seg] + np.diff(breakpoints)[seg] * offset / pieces[seg], breakpoints[-1])
-    return (*segmented_gauss_legendre(edges, q), q, seg.size)
+    return (*segmented_gauss_legendre(edges, q), q, seg)

@@ -8,9 +8,10 @@ or all decreasing,
 Piecewise-linear representatives make both sides computable: the
 trapezoid rule is exact per factor, and ``_accum.product_rule``, which
 the arc-factor product integral uses too, integrates the product (of
-degree n between merged breakpoints): exact for at most 23 functions, at
-roundoff above.  The arc-avoidance factors of the covering problem are
-themselves piecewise linear, so this engine reproduces that application.
+degree n between merged breakpoints), one call per node count: exact for
+at most 23 functions, at roundoff above on log-drop pieces.  The
+arc-avoidance factors of the covering problem are themselves piecewise
+linear, so this engine reproduces that application.
 
 The engine works on families in a batch, stacked as ``(families,
 functions, width)`` arrays of breakpoints and of values; a row ends
@@ -52,9 +53,6 @@ DIRECTIONS = ("increasing", "decreasing")
 # Random families get values floored here; the inequality needs positive functions.
 VALUE_FLOOR = 1e-6
 
-# Up to this many functions the product rule needs no log-drop pieces.
-_EXACT_FUNCTIONS = 2 * MAX_NODES - 1
-
 
 def _check_rows(breakpoints: np.ndarray, values: np.ndarray, direction: str) -> None:
     """Raise ValueError unless each row is a positive monotone polyline on [0, eps]."""
@@ -92,8 +90,8 @@ class MonotonePiecewiseLinear:
     direction: str
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.breakpoints, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
+        b = np.array(self.breakpoints, dtype=np.float64)  # copies, so the caller's arrays stay theirs
+        v = np.array(self.values, dtype=np.float64)
         if b.ndim != 1 or v.ndim != 1 or b.size != v.size or b.size < 2:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length >= 2")
         _check_rows(b[None], v[None], self.direction)
@@ -159,11 +157,11 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
     them and families of one node count q are adjacent.  Each family's
     merged breakpoints come from ``_merged_breakpoints``; a row's piece
     at every merged breakpoint is the running count of its own
-    breakpoints up to there.  The nodes are ``product_rule``'s, on
-    all merged segments of families of one q at once; a family of more
-    than 23 functions gets its own call, whose log-drop rule cuts
-    segments into pieces.  Factors multiply in row order and each
-    family's weighted products go into one ``math.fsum``.
+    breakpoints up to there.  The nodes are ``product_rule``'s, one call
+    per q on the merged segments, each of degree n or, from one family's
+    eps to the next one's 0, 0; its segment map gives each line's piece,
+    the lines to drop and each family's lines.  Factors multiply in row
+    order and each family's weighted products go into one ``math.fsum``.
     """
     order = np.argsort(-ns, kind="stable")
     b, v, ns = b[order], v[order], ns[order]
@@ -183,25 +181,22 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
         b0, v0, s0 = (a[g] for a in row)
         return np.where(x == b0, v0, s0 * (x - b0) + v0)
 
+    owner = np.repeat(np.arange(families), ends - starts)
+    # A family's segments have its degree n; one from its eps down to the next one's 0 has 0.
+    degree = ns[owner[:-1]] * (np.diff(pts) > 0.0)
     qs = np.minimum((ns + 2) // 2, MAX_NODES)  # product_rule's ceil((n + 1)/2), capped
-    cuts = np.flatnonzero((qs[1:] != qs[:-1]) | (ns[:-1] > _EXACT_FUNCTIONS)) + 1
-    bounds = [0, *cuts.tolist(), families]
+    bounds = [0, *(np.flatnonzero(qs[1:] != qs[:-1]) + 1).tolist(), families]
     groups, sizes = [], []
     for first, last in zip(bounds[:-1], bounds[1:]):
-        at = np.arange(starts[first], ends[last - 1])
-        n = int(ns[first])
-        x, w, q, _ = product_rule(pts[at], n, lambda y: sum(np.log(value(table(r), y, at)) for r in range(n)))
-        x, w = x.reshape(-1, q), w.reshape(-1, q)
-        # Nodes are laid out a span of q per line: a log-drop piece or a merged segment.
-        if n > _EXACT_FUNCTIONS:  # one family, its segments cut into log-drop pieces
-            g = at[0] + np.searchsorted(pts[at], x, side="right") - 1
-            seg, lines = g[:, q // 2], np.array([len(x)])
-        else:  # every merged segment, but none from one family's eps to the next one's 0
-            keep = np.ones(at.size - 1, dtype=bool)
-            keep[ends[first:last - 1] - 1 - at[0]] = False
-            seg, x, w = at[:-1][keep], x[keep], w[keep]
-            g = seg[:, None] + (x >= pts[seg + 1, None]) - (x < pts[seg, None])
-            lines = ends[first:last] - starts[first:last] - 1
+        lo, hi = starts[first], ends[last - 1]
+        at = np.arange(lo, hi)
+        x, w, q, seg = product_rule(pts[lo:hi], degree[lo:hi - 1],
+                                    lambda y: sum(np.log(value(table(r), y, at)) for r in range(ns[first])))
+        # Nodes are laid out a span of q per line: a merged segment or a log-drop piece of one.
+        keep = degree[lo + seg] > 0
+        seg, x, w = lo + seg[keep], x.reshape(-1, q)[keep], w.reshape(-1, q)[keep]
+        g = seg[:, None] + (x >= pts[seg + 1, None]) - (x < pts[seg, None])
+        lines = np.bincount(owner[seg] - first, minlength=last - first)
         sizes += (lines * q).tolist()
         # Row r is live on the group's first families, those with more than r rows.
         line_starts = np.concatenate(([0], lines)).cumsum()
@@ -294,7 +289,9 @@ def check_inequality(fs) -> InequalityCheck:
 
     ``holds`` is one-sided: the left side may fall below the right by at
     most 1e-10 * max(1, rhs), so roundoff cannot raise false alarms
-    while genuine violations of any size are caught.
+    while genuine violations of any size are caught.  Both sides are
+    formed in linear space, so the verdict is vacuous once they underflow
+    (``rhs`` is 0.0 for some families of 500 functions).
     """
     lhs, rhs = _evaluate(*_rows(_common_family(fs)))
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(_holds(lhs, rhs)), margin=lhs - rhs)

@@ -331,15 +331,15 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     eps = check_window(lengths, eps)
     log_integrand = _LogIntegrand(lengths, eps)
     ahead = MAX_NODES if nodes_per_segment is None else nodes_per_segment
-    x, w, nodes, pieces = product_rule(log_integrand.breakpoints, log_integrand.degree,
-                                       lambda t: log_integrand(t, ahead), nodes_per_segment)
+    x, w, nodes, seg = product_rule(log_integrand.breakpoints, log_integrand.degree,
+                                    lambda t: log_integrand(t, ahead), nodes_per_segment)
     if lengths.size == 0:
         return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 
     log_value = log_sum_exp(log_integrand(x), w)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_value))
-    return QuadratureResult(value=value, log_value=log_value, segment_count=pieces, nodes_per_segment=nodes)
+    return QuadratureResult(value=value, log_value=log_value, segment_count=seg.size, nodes_per_segment=nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ then each operation of ``bench/workloads.build`` at seeds 1, 7 and 101,
 at full and at smoke size, then ``gap_measure_samples`` of
 ``EARLY_COVER`` at each of those seeds, whose replications cover at
 different prefixes of their arcs (the benchmark's shape covers none
-early).  A CLI operation's document is its standard output; a
+early), then the inequality engine on families of more than 23
+functions, whose segments the product rule cuts into log-drop pieces:
+``check_inequality`` of ``random_monotone_family(seed, n, direction, 6)``
+for n in ``LARGE_FAMILIES``, both directions, at each seed; the
+``product_integral_pl`` of 1000 Shepp factor polylines; and one stacked
+``chebyshev._sides`` batch of families of ``MIXED_BATCH`` functions.  A
+CLI operation's document is its standard output; a
 ``gap_measure_samples`` document is its samples, one ``repr`` a line,
-as ``bench/worker.py`` renders them.  A change
+as ``bench/worker.py`` renders them; an inequality document is its
+results, one ``float.hex`` each.  A change
 that must not move any byte runs this before and after, and diffs the
 two outputs:
 
@@ -25,18 +32,24 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
+from arccover import chebyshev
 from arccover.cli import main
 from arccover.covering import gap_measure_samples
-from arccover.sequences import LengthSequence
+from arccover.sequences import LengthSequence, generate
 
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
 sys.path.insert(0, str(TESTS.parent / "bench"))
+from conftest import shepp_factor_polyline  # noqa: E402
 from test_cli import GOLDEN_CASES  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 7, 101)
 EARLY_COVER = {"seq": {"family": "harmonic", "c": 0.7, "cap": 0.99}, "n": 3000, "reps": 120}
+LARGE_FAMILIES = (24, 50, 500)
+MIXED_BATCH = (1, 10, 22, 23, 24, 30, 50)
 
 
 def document(argv) -> str:
@@ -54,6 +67,29 @@ def samples_document(params: dict) -> str:
     return "\n".join(map(repr, samples.tolist())) + "\n"
 
 
+def hex_document(values) -> str:
+    return "".join(f"{float(x).hex()}\n" for x in values)
+
+
+def inequality_document(seed: int, n: int, direction: str) -> str:
+    result = chebyshev.check_inequality(chebyshev.random_monotone_family(seed, n, direction, 6))
+    return hex_document([result.lhs, result.rhs, result.holds, result.margin])
+
+
+def shepp_document() -> str:
+    eps = 0.25
+    lengths = generate(LengthSequence.inverse_sqrt(c=1, cap=0.49), 1000)
+    return hex_document([chebyshev.product_integral_pl([shepp_factor_polyline(float(l), eps) for l in lengths])])
+
+
+def mixed_batch_document() -> str:
+    ns = np.array(MIXED_BATCH)
+    increasing = np.arange(ns.size) % 2 == 0
+    b, v = chebyshev._family_batch(range(ns.size), ns, increasing, np.full(ns.size, 6))
+    lhs, rhs = chebyshev._sides(b, v, ns)
+    return hex_document([*lhs, *rhs])
+
+
 def documents():
     """(label, text) of every document, goldens first."""
     for name, argv in sorted(GOLDEN_CASES.items()):
@@ -69,6 +105,12 @@ def documents():
                         yield label, samples_document(op.params)
     for seed in SEEDS:
         yield f"early-cover/seed{seed}/gap-measure-samples", samples_document({**EARLY_COVER, "seed": seed})
+    for seed in SEEDS:
+        for n in LARGE_FAMILIES:
+            for direction in chebyshev.DIRECTIONS:
+                yield f"inequality/seed{seed}/n{n}/{direction}", inequality_document(seed, n, direction)
+    yield "inequality/shepp-1000/product-integral-pl", shepp_document()
+    yield "inequality/mixed-batch/sides", mixed_batch_document()
 
 
 if __name__ == "__main__":

@@ -540,15 +540,18 @@ class TestProductRule:
         def never(x):
             raise AssertionError("no segment needs cutting")
 
-        x, w, q, pieces = product_rule(np.array([0.0, 0.1, 0.3]), np.array([23, 5]), never)
-        assert (q, pieces) == (12, 2)
+        x, w, q, seg = product_rule(np.array([0.0, 0.1, 0.3]), np.array([23, 5]), never)
+        assert (q, seg.tolist()) == (12, [0, 1])
         assert x.size == w.size == 24
-        x, w, q, pieces = product_rule(np.array([0.0, 0.1, 0.3]), 3, never)
-        assert (q, pieces) == (2, 2)
+        x, w, q, seg = product_rule(np.array([0.0, 0.1, 0.3]), 3, never)
+        assert (q, seg.tolist()) == (2, [0, 1])
+        # Degree-0 segments, as between two families of a stacked batch: one piece each.
+        x, w, q, seg = product_rule(np.array([0.0, 0.1, 0.2, 0.3]), np.array([0, 23, 0]), never)
+        assert (q, seg.tolist()) == (12, [0, 1, 2])
 
     def test_explicit_nodes_lift_the_cap(self):
-        x, w, q, pieces = product_rule(np.array([0.0, 1.0]), 101, None, nodes=51)
-        assert (q, pieces, x.size) == (51, 1, 51)
+        x, w, q, seg = product_rule(np.array([0.0, 1.0]), 101, None, nodes=51)
+        assert (q, seg.tolist(), x.size) == (51, [0], 51)
 
     @pytest.mark.parametrize("rising", [False, True], ids=["decreasing", "increasing"])
     def test_pieces_follow_the_log_drop_either_way(self, rising):
@@ -559,13 +562,35 @@ class TestProductRule:
         def log_integrand(t):
             return d * np.log(0.01 + t if rising else 1.01 - t)
 
-        x, w, q, pieces = product_rule(np.array([0.0, 1.0]), d, log_integrand)
+        x, w, q, seg = product_rule(np.array([0.0, 1.0]), d, log_integrand)
         assert q == MAX_NODES
-        assert pieces == math.ceil(d * math.log(101.0))
+        assert seg.size == math.ceil(d * math.log(101.0))
         log_value = log_sum_exp(log_integrand(x), w)
         exact = (d + 1) * math.log(1.01) - math.log(d + 1) + math.log1p(-(1 / 101) ** (d + 1))
         assert abs(log_value - exact) <= 1e-13
 
+    def test_segment_map(self):
+        # Segments of degree 200, 0, 5, 200 and 0 under log drops of 2.5, 1e6,
+        # 7.25, 3.25 and NaN: only the degree-200 segments are cut, each into
+        # ceil(drop) pieces; the drops of the others are never read, so the
+        # degree-0 segments stay one piece each.
+        breakpoints = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        logs = np.array([0.0, -2.5, 1e6, 1e6 - 7.25, 1e6 - 10.5, np.nan])
+        calls = []
+
+        def log_integrand(t):
+            calls.append(t.copy())
+            return logs
+
+        x, w, q, seg = product_rule(breakpoints, np.array([200, 0, 5, 200, 0]), log_integrand)
+        assert len(calls) == 1 and (calls[0] == breakpoints).all()
+        assert q == MAX_NODES and x.size == w.size == seg.size * q
+        assert (np.diff(seg) >= 0).all()
+        assert seg.tolist() == [0, 0, 0, 1, 2, 3, 3, 3, 3, 4]
+        # Every line's nodes lie in its own segment.
+        lines = x.reshape(-1, q)
+        assert (lines >= breakpoints[seg, None]).all() and (lines <= breakpoints[seg + 1, None]).all()
+        assert math.fsum(w) == pytest.approx(2.5, rel=1e-15)
 
 class TestGrowth:
     def test_at_zero_is_exactly_one(self):
