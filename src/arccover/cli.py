@@ -10,12 +10,26 @@ in CSV and ``null`` in JSON, booleans are ``true``/``false``, integers
 are decimal, and floats are ``"%.17g"`` (lossless round trips), which
 prints ``inf``/``-inf``/``nan`` in CSV; JSON writes ``null`` for a
 non-finite float.  No cell needs CSV quoting.  Rows are formatted in
-blocks: each column's slice of a block is converted to Python scalars
-once and gives the block's row format its directive, ``%d`` for ints,
-``%.17g`` for floats (in JSON only if all are finite) and ``%s`` with
-the cells formatted by the rule for any other slice.  Each block's rows
-are joined into one string, and the blocks into the document, so no
-column of cell strings and no list of every row is held.
+blocks of _BLOCK_ROWS, two ways with the same bytes:
+
+* A block of _KERNEL_MIN_ROWS rows or more with a float column is
+  written as bytes: every cell goes into one uint8 slot matrix, a band of
+  slot rows per column and a constant slot row per byte of the row
+  template, and the matrix is read row by row with its NUL (empty)
+  slots deleted.  Floats take an exact vectorised ``%.17g`` (a
+  double-double product with a certainty test, after Grisu3; see the
+  kernel's comment), integers a digit kernel, and any other column the
+  cell rule.  It uses IEEE basic operations only, and ``log10`` only as
+  an estimate it checks, so no choice of CPU kernels reaches its bytes;
+  a cell its test does not certify is formatted by the cell rule.
+* A shorter block converts each column's slice to Python scalars once,
+  which gives the row format its directive: ``%d`` for ints, ``%.17g``
+  for floats (in JSON only if all are finite) and ``%s`` with the cells
+  formatted by the cell rule for any other slice.
+
+``main`` writes each block as it is formed, after every column is
+computed, so an invalid run still writes nothing; ``render`` and ``run``
+return the whole document.
 
 ``inequality-check`` draws its trials' parameters one trial after
 another and runs the families in batches of _TRIAL_CHUNK: one bulk draw
@@ -82,9 +96,13 @@ _JSON_CELL = {
     str: json.dumps,
 }
 
-# Rows are formatted per block: each column's slice is converted with one .tolist()
-# and gives one %-directive for the block.
-_BLOCK_ROWS = 4096
+# Rows are formatted per block of _BLOCK_ROWS rows.  A block of at least
+# _KERNEL_MIN_ROWS rows with a float column is written as bytes
+# (_block_bytes); a shorter one by %-directives per column (_column_block).
+# Below the cutoff the kernel's fixed cost of about 100 array passes per
+# column outweighs what it saves on each cell (see CHANGES.md).
+_BLOCK_ROWS = 8192
+_KERNEL_MIN_ROWS = 1024
 
 
 def _cell(value, as_json: bool) -> str:
@@ -98,14 +116,13 @@ def _cell(value, as_json: bool) -> str:
     return formats[str](str(value))
 
 
-def _column_block(column, start: int, as_json: bool) -> tuple[str, object]:
-    """One column's rows start .. start + _BLOCK_ROWS: a %-directive and the values it formats.
+def _column_block(chunk, as_json: bool) -> tuple[str, object]:
+    """One column's slice of a block: a %-directive and the values it formats.
 
     A slice of ints takes ``%d``, and a slice of floats ``%.17g`` (in JSON
     only if every one is finite); any other slice takes ``%s`` with its
     cells formatted by the cell rule.
     """
-    chunk = column[start:start + _BLOCK_ROWS]
     values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -117,6 +134,195 @@ def _column_block(column, start: int, as_json: bool) -> tuple[str, object]:
     if format_cell:
         return "%s", map(format_cell, values)
     return "%s", (_cell(value, as_json) for value in values)
+
+
+# ---------------------------------------------------------------------------
+# the byte kernel: a block's cells as slots of one uint8 matrix
+#
+# Each column owns a fixed band of slot rows of the block's matrix, one
+# matrix column per document row; a NUL byte is an empty slot, and the
+# block is the matrix read row by row with every NUL deleted.
+#
+# A float x with 1e-290 <= |x| < 1e290 (so that P below, its halves and
+# p_lo are normal doubles) takes k = floor(log10 |x|) as an estimate and
+# D = round(|x| * P), P = 10**(16 - k), from a double-double
+# P = p_hi + p_lo + O(u**2 P), u = 2**-53: p_hi and p_lo are correctly
+# rounded doubles made from Python ints, once per distinct k.  Veltkamp's
+# split and Dekker's TwoProduct give |x| * p_hi = h + e exactly (separate
+# IEEE operations; numpy never fuses them), and t = fl(e + fl(|x| * p_lo)).
+# log10 errs by an ulp or so, so k is at most one off and |x| * P < 2**60;
+# then |e| <= 64 and |fl(|x| * p_lo)| <= 128, and t misses |x| * P - h by
+# at most u * 192 for its own rounding, 2**-46 for that of |x| * p_lo and
+# 2**-46 for the omitted P - p_hi - p_lo: under 2**-44 in all.  Where
+# frac(t) is farther than _CERTAIN from 1/2 and 10**16 < h + round(t) <
+# 10**17, h is an integer (> 2**53), D = h + round(t) is |x| * P correctly
+# rounded, k was right, and "%.17g" prints D's 17 digits with exponent k.
+# Every other cell (zero, subnormal, huge, non-finite, a near-tie, a wrong
+# k) is formatted by _cell and patched in.
+_SPLIT = 134217729.0  # 2**27 + 1
+_CERTAIN = 2.0 ** -40
+_FLOAT_SLOTS = 44  # sign, "0.000", d0, then (point, digit) x 16, "e+123"
+_INT_SLOTS = 20  # sign and 19 digits
+_MINUS, _POINT = np.uint8(ord("-")), np.uint8(ord("."))
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_LEAD_FROM = np.arange(0, -5, -1, dtype=np.int16)[:, None]  # a lead slot is written for k <= this
+_DIGIT = np.arange(17, dtype=np.int16)[:, None]
+
+
+def _powers_of_ten(ks) -> np.ndarray:
+    """Rows hh, hl, lo for each k: p_hi = hh + hl split in halves, and p_lo, for P = 10**(16 - k)."""
+    rows = []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        p_hi = num / den  # int / int is correctly rounded
+        a, b = p_hi.as_integer_ratio()
+        mantissa, exponent = math.frexp(p_hi)
+        c = mantissa * _SPLIT
+        high = c - (c - mantissa)
+        rows.append((math.ldexp(high, exponent), math.ldexp(mantissa - high, exponent),
+                     (num * b - a * den) / (den * b)))
+    return np.array(rows).T
+
+
+def _digits(value: np.ndarray, out: np.ndarray) -> None:
+    """The last len(out) decimal digits of a uint32 array into out's rows, most significant first."""
+    for row in out[::-1]:
+        quotient = value // 10
+        row[:] = value - quotient * 10
+        value = quotient
+
+
+def _float_slots(out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write ``"%.17g" % x`` into out's _FLOAT_SLOTS rows; return the cells left to _cell."""
+    magnitude = np.abs(x)
+    ok = (magnitude >= 1e-290) & (magnitude < 1e290)
+    a = np.where(ok, magnitude, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int16)
+    k_min = int(k.min())
+    powers = np.zeros((3, int(k.max()) - k_min + 1))
+    present = np.flatnonzero(np.bincount(k - k_min))
+    powers[:, present] = _powers_of_ten((present + k_min).tolist())
+    hh, hl, lo = powers.take(k - k_min, axis=1) if len(present) > 1 else powers
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    h = a * (hh + hl)
+    t = (((ah * hh - h) + ah * hl) + al * hh) + al * hl + a * lo
+    floor = np.floor(t)
+    frac = t - floor
+    ok &= np.abs(frac - 0.5) > _CERTAIN
+    d = h.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    ok &= (d > 10**16) & (d < 10**17)
+    d[~ok] = 10**16 + 1  # any 17 digits; _cell rewrites these cells
+    high = d // 10**9
+    digits = np.empty((17, x.size), dtype=np.uint8)
+    _digits(high.astype(np.uint32), digits[:8])
+    _digits((d - high * 10**9).astype(np.uint32), digits[8:])
+
+    scientific = (k < -4) | (k > 16)
+    point = np.where(scientific, 0, np.maximum(k, -1))  # the digit the point follows; -1: "0.000" leads
+    # A digit is written up to the last nonzero one, and always up to the point.
+    written = digits != 0
+    for i in range(15, 0, -1):
+        written[i] |= written[i + 1]
+    written |= _DIGIT <= point
+    out[0] = np.signbit(x) * _MINUS
+    small = point < 0
+    out[1:6] = ((_LEAD_FROM >= k) & small) * _LEAD if small.any() else 0
+    out[6:39:2] = (digits + ord("0")) * written
+    out[7:38:2] = ((_DIGIT[:16] == point) & written[1:]) * _POINT
+    out[39:44] = 0
+    if scientific.any():
+        exponent = np.abs(k)
+        out[39] = scientific * np.uint8(ord("e"))
+        out[40] = scientific * np.where(k < 0, _MINUS, np.uint8(ord("+")))
+        out[41] = (scientific & (exponent >= 100)) * (exponent // 100 + ord("0"))
+        out[42] = scientific * (exponent // 10 % 10 + ord("0"))
+        out[43] = scientific * (exponent % 10 + ord("0"))
+    return np.flatnonzero(~ok)
+
+
+def _int_slots(out: np.ndarray, v: np.ndarray) -> None:
+    """Write the decimal int64s ``v`` into out's _INT_SLOTS rows."""
+    magnitude = np.where(v < 0, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63
+    top = magnitude // 10**18
+    rest = magnitude - top * 10**18
+    middle = rest // 10**9
+    digits = np.empty((19, v.size), dtype=np.uint8)
+    digits[0] = top
+    _digits(middle.astype(np.uint32), digits[1:10])
+    _digits((rest - middle * 10**9).astype(np.uint32), digits[10:])
+    # Leading zeros are not written; the units digit always is.
+    written = digits != 0
+    for i in range(1, 18):
+        written[i] |= written[i - 1]
+    written[-1] = True
+    out[0] = (v < 0) * _MINUS
+    out[1:] = (digits + ord("0")) * written
+
+
+def _as_array(chunk):
+    """A block's slice of a column as a float64 or int64 array; None for any other cells."""
+    if not isinstance(chunk, np.ndarray):
+        kinds = set(map(type, chunk))
+        if kinds not in ({float}, {int}):
+            return None
+        try:
+            return np.array(chunk, dtype=np.float64 if kinds == {float} else np.int64)
+        except OverflowError:  # an int beyond int64
+            return None
+    if chunk.dtype.kind == "f" and chunk.dtype.itemsize <= 8:
+        return chunk.astype(np.float64, copy=False)
+    if chunk.dtype.kind in "iu" and np.can_cast(chunk.dtype, np.int64):
+        return chunk.astype(np.int64, copy=False)
+    return None
+
+
+def _cell_slots(chunk, as_json: bool):
+    """Cells by the cell rule, as a (width, rows) uint8 array; None if one is not plain ASCII."""
+    cells = [_cell(value, as_json) for value in (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)]
+    text = "".join(cells)
+    if "\0" in text or not text.isascii():
+        return None
+    return np.array(cells, dtype="S").view(np.uint8).reshape(len(cells), -1).T
+
+
+def _block_bytes(chunks, literals, as_json: bool, count: int) -> str | None:
+    """One block's rows, each followed by the row separator, from one uint8 slot matrix.
+
+    ``literals`` are the row template's constant parts, one before each
+    column and one after the last.  Returns None if the block has no
+    float column or a cell that is not plain ASCII.
+    """
+    parts = []
+    for chunk in chunks:
+        array = _as_array(chunk)
+        parts.append(_cell_slots(chunk, as_json) if array is None else array)
+    if any(part is None for part in parts) or not any(part.dtype.kind == "f" for part in parts):
+        return None
+    widths = [{"f": _FLOAT_SLOTS, "i": _INT_SLOTS}.get(part.dtype.kind, len(part)) for part in parts]
+    matrix = np.empty((sum(widths) + sum(map(len, literals)), count), dtype=np.uint8)
+    row = 0
+    for literal, values, width in zip(literals, parts + [None], widths + [0]):
+        matrix[row:row + len(literal)] = np.frombuffer(literal, dtype=np.uint8)[:, None]
+        row += len(literal)
+        out = matrix[row:row + width]
+        row += width
+        if values is None:
+            break
+        if values.dtype.kind == "f":
+            for i in _float_slots(out, values):
+                text = _cell(float(values[i]), as_json).encode()
+                out[:, i] = 0
+                out[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+        elif values.dtype.kind == "i":
+            _int_slots(out, values)
+        else:
+            out[:] = values
+    # Slot rows empty in every row of the block (a sign, lead or exponent no
+    # cell needs) are dropped before the transpose, which costs per slot.
+    matrix = matrix[matrix.any(axis=1)]
+    return matrix.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _setting(value, as_json: bool) -> str:
@@ -134,23 +340,20 @@ def _json_object(members, indent: str) -> str:
     return "{\n" + lines + "\n" + indent + "}"
 
 
-def render(config: RunConfig, columns: dict) -> str:
-    """The document of one run: the configuration echo, then the rows.
+def _document(config: RunConfig, columns: dict):
+    """The document of one run, as an iterator of its pieces (see render).
 
-    ``columns`` maps each column name, in order, to its cells (a list,
-    a range or a numpy array), all of one length.
+    The columns' lengths are checked here, before the first piece.
     """
+    lengths = {name: len(column) for name, column in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("columns differ in length: " + ", ".join(f"{k}={v}" for k, v in lengths.items()))
+    return _pieces(config, columns, next(iter(lengths.values()), 0))
+
+
+def _pieces(config: RunConfig, columns: dict, count: int):
     as_json = config.format == "json"
     settings = [(f.name, getattr(config, f.name)) for f in fields(config)]
-    count = len(next(iter(columns.values()), ()))
-    keys = [json.dumps(name).replace("%", "%%") for name in columns]
-    separator = ",\n" if as_json else "\n"
-    blocks = []
-    for start in range(0, count, _BLOCK_ROWS):
-        directives, cells = zip(*(_column_block(column, start, as_json) for column in columns.values()))
-        # One row's layout, with each column's directive for this block.
-        fmt = "    " + _json_object(zip(keys, directives), "    ") if as_json else ",".join(directives)
-        blocks.append(separator.join(map(fmt.__mod__, zip(*cells))))
     if as_json:
         config_doc = _json_object([(json.dumps(key), _setting(value, True)) for key, value in settings], "  ")
         head = '{\n  "config": ' + config_doc + ',\n  "rows": '
@@ -158,12 +361,42 @@ def render(config: RunConfig, columns: dict) -> str:
     else:
         head = "".join(f"# {key}={_setting(value, False)}\n" for key, value in settings)
         empty, first, last = "", ",".join(columns) + "\n", "\n"
-    if not blocks:
-        return head + empty
-    # Head and tail ride on the first and last block, so the document is copied once.
-    blocks[0] = head + first + blocks[0]
-    blocks[-1] += last
-    return separator.join(blocks)
+    if not count:
+        yield head + empty
+        return
+    yield head + first
+    keys = [json.dumps(name) for name in columns]
+    separator = ",\n" if as_json else "\n"
+    if as_json:
+        literals = ["    {\n      " + keys[0] + ": "]
+        literals += [",\n      " + key + ": " for key in keys[1:]]
+        literals.append("\n    }" + separator)
+    else:
+        literals = [""] + [","] * (len(keys) - 1) + [separator]
+    escaped = [literal.replace("%", "%%") for literal in literals]
+    literals = [literal.encode() for literal in literals]
+    for start in range(0, count, _BLOCK_ROWS):
+        chunks = [column[start:start + _BLOCK_ROWS] for column in columns.values()]
+        rows = min(_BLOCK_ROWS, count - start)
+        text = _block_bytes(chunks, literals, as_json, rows) if rows >= _KERNEL_MIN_ROWS else None
+        if text is None:
+            directives, cells = zip(*(_column_block(chunk, as_json) for chunk in chunks))
+            # One row's layout, with each column's directive for this block.
+            fmt = "".join(map(str.__add__, escaped, directives + ("",)))
+            text = "".join(map(fmt.__mod__, zip(*cells)))
+        if start + _BLOCK_ROWS >= count:
+            text = text[:-len(separator)] + last
+        yield text
+
+
+def render(config: RunConfig, columns: dict) -> str:
+    """The document of one run: the configuration echo, then the rows.
+
+    ``columns`` maps each column name, in order, to its cells (a list,
+    a range or a numpy array), all of one length; ValueError names the
+    lengths otherwise.
+    """
+    return "".join(_document(config, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +614,17 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
-        document = run(config)
+        document = _document(config, _RUNNERS[config.command](config))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    # Each block is written as it is formed; every column is already computed.
     if config.out is None:
-        sys.stdout.write(document)
+        sys.stdout.writelines(document)
     else:
         with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(document)
+            fh.writelines(document)
     return 0

@@ -10,8 +10,13 @@ functions, whose segments the product rule cuts into log-drop pieces:
 ``check_inequality`` of ``random_monotone_family(seed, n, direction, 6)``
 for n in ``LARGE_FAMILIES``, both directions, at each seed; the
 ``product_integral_pl`` of 1000 Shepp factor polylines; and one stacked
-``chebyshev._sides`` batch of families of ``MIXED_BATCH`` functions.  A
-CLI operation's document is its standard output; a
+``chebyshev._sides`` batch of families of ``MIXED_BATCH`` functions.
+Last come the documents of the byte kernel in ``arccover.cli``: a
+10**5-row ``criterion`` in JSON (the benchmark's is CSV), and
+``kernel_columns()`` of ``test_cli``, a table of every cell class
+(floats at the %g layout's edges, ties, zeros, subnormals, non-finite
+values, ints near 2**63, booleans and None), through ``cli.render`` in
+CSV and in JSON.  A CLI operation's document is its standard output; a
 ``gap_measure_samples`` document is its samples, one ``repr`` a line,
 as ``bench/worker.py`` renders them; an inequality document is its
 results, one ``float.hex`` each.  A change
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from arccover import chebyshev
-from arccover.cli import main
+from arccover.cli import RunConfig, main, render
 from arccover.covering import gap_measure_samples
 from arccover.sequences import LengthSequence, generate
 
@@ -43,12 +48,13 @@ TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
 sys.path.insert(0, str(TESTS.parent / "bench"))
 from conftest import shepp_factor_polyline  # noqa: E402
-from test_cli import GOLDEN_CASES  # noqa: E402
+from test_cli import GOLDEN_CASES, kernel_columns  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 7, 101)
 EARLY_COVER = {"seq": {"family": "harmonic", "c": 0.7, "cap": 0.99}, "n": 3000, "reps": 120}
 LARGE_FAMILIES = (24, 50, 500)
+CRITERION_JSON = ("criterion", "--seq", "harmonic:c=2.0,cap=0.99", "--n", "100000", "--format", "json")
 MIXED_BATCH = (1, 10, 22, 23, 24, 30, 50)
 
 
@@ -111,6 +117,9 @@ def documents():
                 yield f"inequality/seed{seed}/n{n}/{direction}", inequality_document(seed, n, direction)
     yield "inequality/shepp-1000/product-integral-pl", shepp_document()
     yield "inequality/mixed-batch/sides", mixed_batch_document()
+    yield "render/criterion-100000.json", document(CRITERION_JSON)
+    for fmt in ("csv", "json"):
+        yield f"render/kernel-columns.{fmt}", render(RunConfig(command="criterion", format=fmt), kernel_columns())
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arccover import _accum, cli
 from arccover.chebyshev import random_monotone_family
@@ -192,6 +194,16 @@ def test_import_loads_no_numpy_random(tmp_path):
     # numpy.random costs about 12 ms to import; the covering draws load it
     # inside the call, so only commands that draw pay for it.
     code = "import arccover, arccover.cli, sys; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_fractions(tmp_path):
+    # The byte kernel forms its powers of ten from Python ints when a block
+    # asks for them, and builds no table at import.
+    code = "import arccover, arccover.cli, sys; print('fractions' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
@@ -427,6 +439,149 @@ class TestRender:
         columns = {"%d": [1, 2], "50%s": [0.5, float("inf")], "x%%": ["a%sb", "%"]}
         document = render(RunConfig(command="criterion", format=fmt), columns)
         assert document.endswith(rows_by_cell_rule(columns, fmt == "json"))
+
+    def test_columns_of_unequal_length_are_refused(self):
+        config = RunConfig(command="criterion", format="csv")
+        with pytest.raises(ValueError, match="a=3, b=1"):
+            render(config, {"a": [1, 2, 3], "b": [0.5]})
+        with pytest.raises(ValueError, match="a=3, b=1"):
+            render(config, {"a": np.arange(3), "b": np.ones(1)})
+
+    def test_main_writes_each_block_as_it_is_formed(self, monkeypatch, capsys):
+        argv = ["criterion", "--seq", "harmonic:c=2", "--n", "50", "--format", "csv"]
+        whole = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert len(writes) == 1 + 7  # the head, then 7 blocks of at most 8 rows
+        assert "".join(writes) == whole
+
+
+# Floats whose "%.17g" the byte kernel must match, or leave to the scalar rule:
+# ties of the 17th digit, signed zeros, subnormals, non-finite values, the %g
+# layout's edges (exponents -5, -4, -1, 0, 16 and 17) and three-digit
+# exponents; KERNEL_FLOATS adds every power of ten with both neighbours.
+HAND_FLOATS = [
+    1000000000000000.25, 1000000000000000.75, 2.5e16, 123456789012345678.0, 0.5, 1.5,
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan,
+    1.2345e-5, 9.87654321e-5, 1e-4, 0.00012345, 0.1, 0.3, 1.0, 2.0, 9.5, 12345.678,
+    1234567890123456.7, 9999999999999998.0, 12345678901234567.0, 1.7976931348623157e308,
+    -1.5e-300, 3.14e-150, -2.5e150, 6.02214076e23, 1e290, 9.9999999999999e289, 1e-290,
+]
+_POWERS = np.array([float(f"1e{e}") for e in range(-323, 309)])
+KERNEL_FLOATS = np.concatenate([_POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf), HAND_FLOATS])
+KERNEL_FLOATS = np.concatenate([KERNEL_FLOATS, -KERNEL_FLOATS, KERNEL_FLOATS * 0.3, KERNEL_FLOATS / 7.0])
+KERNEL_INTS = np.array([0, 1, -1, 7, -10, 10**9, -(10**9) - 1, 10**18, 2**62, 2**63 - 1, -(2**63),
+                        -(2**63) + 1, 1 - 10**18, 99999999999999999], dtype=np.int64)
+
+
+def kernel_columns() -> dict:
+    """Every cell class the byte kernel writes or leaves to the cell rule, in one table."""
+    count = KERNEL_FLOATS.size
+    return {
+        "x": KERNEL_FLOATS,
+        "as_list": KERNEL_FLOATS[::-1].tolist(),
+        "count": np.resize(KERNEL_INTS, count),
+        "ints": np.resize(KERNEL_INTS, count)[::-1].tolist(),
+        "flag": np.arange(count) % 3 == 0,
+        "maybe": [None if i % 5 == 0 else float(v) for i, v in enumerate(KERNEL_FLOATS)],
+        "trial": range(count),
+    }
+
+
+class TestByteKernel:
+    """The byte kernel against the scalar cell rule, with the cutoff at 1 row."""
+
+    @pytest.fixture(autouse=True)
+    def every_block_takes_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(cli, "_KERNEL_MIN_ROWS", 1)
+
+    @staticmethod
+    def assert_cell_rule(columns: dict):
+        for fmt in ("csv", "json"):
+            document = render(RunConfig(command="criterion", format=fmt), columns)
+            assert document.endswith(rows_by_cell_rule(columns, fmt == "json")), fmt
+
+    def test_every_cell_class(self):
+        self.assert_cell_rule(kernel_columns())
+
+    @pytest.mark.parametrize("value", HAND_FLOATS)
+    def test_each_hand_float_alone(self, value):
+        # A one-row block has one exponent, the kernel's shortest path.
+        self.assert_cell_rule({"x": np.array([value]), "neg": np.array([-value])})
+
+    def test_float_slots_match_17g(self):
+        # The kernel's own cells, before any fallback is patched in.
+        out = np.zeros((cli._FLOAT_SLOTS + 1, KERNEL_FLOATS.size), dtype=np.uint8)
+        out[-1] = ord("\n")
+        fallback = set(cli._float_slots(out[:-1], KERNEL_FLOATS).tolist())
+        cells = out.T.tobytes().translate(None, b"\0").decode().split("\n")
+        kept = [i for i in range(KERNEL_FLOATS.size) if i not in fallback]
+        assert [cells[i] for i in kept] == ["%.17g" % KERNEL_FLOATS[i] for i in kept]
+        assert len(kept) > KERNEL_FLOATS.size // 3
+        # Zeros, subnormals, huge and non-finite values and ties go to the cell rule.
+        for value in (0.0, 5e-324, 1e300, math.inf, 1000000000000000.25):
+            assert np.flatnonzero(KERNEL_FLOATS == value)[0] in fallback
+        assert np.flatnonzero(np.isnan(KERNEL_FLOATS))[0] in fallback
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values):
+        self.assert_cell_rule({"x": np.array(values), "as_list": values})
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_int64(self, values):
+        self.assert_cell_rule({"count": np.array(values, dtype=np.int64), "ints": values,
+                               "x": np.zeros(len(values))})
+
+    def test_ints_beyond_int64_keep_the_cell_rule(self):
+        self.assert_cell_rule({"big": [2**63, -1, -(2**63) - 1, 2**70], "x": [0.5, 1.5, 2.5, 3.5],
+                               "unsigned": np.array([2**64 - 1, 0, 1, 2], dtype=np.uint64)})
+
+    def test_non_ascii_cells_keep_the_cell_rule(self):
+        self.assert_cell_rule({"name": ["\u00e9", "a\0b"], "x": [0.5, 1.5]})
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 2.5])
+    def test_benchmark_criterion_cells_rarely_fall_back(self, c):
+        config = RunConfig(command="criterion", seq=f"harmonic:c={c},cap=0.99", n=100_000)
+        for name, column in cli._run_criterion(config).items():
+            if column.dtype.kind == "f":
+                out = np.empty((cli._FLOAT_SLOTS, column.size), dtype=np.uint8)
+                assert cli._float_slots(out, column).size <= column.size // 10_000, name
+
+
+# Renders kernel_columns() through the byte kernel and by rows, in both
+# formats, and prints whether they agree; argv[1] is the tests directory.
+KERNEL_AGREES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from arccover import cli
+from test_cli import kernel_columns
+columns = kernel_columns()
+for fmt in ("csv", "json"):
+    config = cli.RunConfig(command="criterion", format=fmt)
+    cli._KERNEL_MIN_ROWS = 1
+    by_kernel = cli.render(config, columns)
+    cli._KERNEL_MIN_ROWS = 10**9
+    assert by_kernel == cli.render(config, columns), fmt
+print("agree")
+"""
+
+
+@pytest.mark.parametrize("switch", sorted(KERNEL_SWITCHES))
+def test_byte_kernel_under_other_cpu_kernels(switch, tmp_path):
+    # No golden is long enough to reach the kernel.  log10 is only its
+    # checked estimate, so no kernel choice may move a cell.
+    variables, _ = KERNEL_SWITCHES[switch]
+    proc = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", KERNEL_AGREES,
+                           str(Path(__file__).parent)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**subprocess_env(), **variables}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "agree"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
