@@ -23,12 +23,12 @@ dead rows (breakpoints 0 and eps, value 1) after its own.  One draw
 ``inequality-check`` trials, hundreds of families at a time, and the
 library functions, each a batch of one.
 
-The evaluator sorts each family's breakpoints once, gives every row its
-piece at each merged breakpoint by a running count, and evaluates a
-factor at a node as np.interp does: ``slope*(x - b0) + v0`` on the piece
-of the node's merged segment, the breakpoint's own value where x is b0,
-and the neighbouring piece for a node that rounds onto the segment's end
-(or below its start).
+The evaluator sorts each family's breakpoints once, finds a row's piece
+at a merged breakpoint by binary search in the row's ranks among them,
+and evaluates a factor at a node as np.interp does: ``slope*(x - b0) +
+v0`` on the piece of the node's merged segment, the breakpoint's own
+value where x is b0, and the neighbouring piece for a node that rounds
+onto the segment's end (or below its start).
 
 A random family draws from ``default_rng(seed)``: eps from U(0.2, 1),
 then, function after function, ``segments`` inner breakpoints
@@ -156,12 +156,13 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
     Families are taken in descending n, so row r is live on a prefix of
     them and families of one node count q are adjacent.  Each family's
     merged breakpoints come from ``_merged_breakpoints``; a row's piece
-    at every merged breakpoint is the running count of its own
-    breakpoints up to there.  The nodes are ``product_rule``'s, one call
-    per q on the merged segments, each of degree n or, from one family's
-    eps to the next one's 0, 0; its segment map gives each line's piece,
-    the lines to drop and each family's lines.  Factors multiply in row
-    order and each family's weighted products go into one ``math.fsum``.
+    at a merged breakpoint is the count of its own breakpoints up to
+    there, found by binary search where it is read.  The nodes are
+    ``product_rule``'s, one call per q on the merged segments, each of
+    degree n or, from one family's eps to the next one's 0, 0; its
+    segment map gives each line's piece, the lines to drop and each
+    family's lines.  Factors multiply in row order and each family's
+    weighted products go into one ``math.fsum``.
     """
     order = np.argsort(-ns, kind="stable")
     b, v, ns = b[order], v[order], ns[order]
@@ -171,14 +172,18 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
     slope = np.zeros(b.shape)  # zero on padding, so a node at or past eps reads the last value
     np.divide(np.diff(v, axis=-1), gaps, out=slope[..., :-1], where=gaps > 0.0)
 
-    def table(r: int) -> list[np.ndarray]:
-        """Row r's piece at every merged breakpoint: its first breakpoint, value and slope."""
-        piece = np.bincount(rank[:, r].ravel(), minlength=pts.size).cumsum() - 1
-        return [a[:, r].ravel()[piece] for a in (b, v, slope)]
+    # Row r's ranks ascend, family after family, so its piece at a merged
+    # breakpoint g is the last of its breakpoints ranked at or below g.
+    row_b, row_v, row_slope, row_rank = (a.swapaxes(0, 1).reshape(rows, -1) for a in (b, v, slope, rank))
 
-    def value(row: list[np.ndarray], x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """np.interp's arithmetic at nodes x, on the row's pieces at merged breakpoints g."""
-        b0, v0, s0 = (a[g] for a in row)
+    def piece(r: int, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Row r's piece at merged breakpoints g: its first breakpoint, value and slope."""
+        p = row_rank[r].searchsorted(g, "right") - 1
+        return row_b[r][p], row_v[r][p], row_slope[r][p]
+
+    def value(r: int, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """np.interp's arithmetic at nodes x, on row r's pieces at merged breakpoints g."""
+        b0, v0, s0 = piece(r, g)
         return np.where(x == b0, v0, s0 * (x - b0) + v0)
 
     owner = np.repeat(np.arange(families), ends - starts)
@@ -191,7 +196,7 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
         lo, hi = starts[first], ends[last - 1]
         at = np.arange(lo, hi)
         x, w, q, seg = product_rule(pts[lo:hi], degree[lo:hi - 1],
-                                    lambda y: sum(np.log(value(table(r), y, at)) for r in range(ns[first])))
+                                    lambda y: sum(np.log(value(r, y, at)) for r in range(ns[first])))
         # Nodes are laid out a span of q per line: a merged segment or a log-drop piece of one.
         keep = degree[lo + seg] > 0
         seg, x, w = lo + seg[keep], x.reshape(-1, q)[keep], w.reshape(-1, q)[keep]
@@ -206,16 +211,15 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
         groups.append((x, w, seg, live, odd, g[odd]))
     prods = [np.ones(x.shape) for x, *_ in groups]
     for r in range(rows):
-        row = table(r)
-        b0, v0, s0 = row
         for (x, w, seg, live, odd, g_odd), prod in zip(groups, prods):
-            k, s = live[r], seg[:live[r]]
-            f = np.subtract(x[:k], b0[s, None])
-            f *= s0[s, None]
-            f += v0[s, None]
+            k = live[r]
+            b0, v0, s0 = piece(r, seg[:k, None])
+            f = np.subtract(x[:k], b0)
+            f *= s0
+            f += v0
             if g_odd.size:
                 mine = odd[0] < k
-                f[odd[0][mine], odd[1][mine]] = value(row, x[odd][mine], g_odd[mine])
+                f[odd[0][mine], odd[1][mine]] = value(r, x[odd][mine], g_odd[mine])
             prod[:k] *= f
     terms = np.concatenate([(prod * w).ravel() for prod, (x, w, *_) in zip(prods, groups)])
     out = np.empty(families)

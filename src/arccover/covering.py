@@ -351,62 +351,39 @@ _DISCARDED_BITS = 64 - _GRID_BITS
 _PAIR_CHUNK = 1 << 16
 
 
-def _misses_both(centers: np.ndarray, lengths: np.ndarray, t: float) -> np.ndarray:
-    """Whether the arc of each length at each centre misses both 0 and t.
-
-    Arc k at u misses x iff (x - u) mod 1 >= l_k; the mod is taken by hand,
-    with the same roundings as numpy's float ``%``: for x = 0 it is 1 - u
-    unless u == 0, and for x = t it is t - u, plus 1 when negative.
-    """
-    to_t = t - centers
-    np.add(to_t, 1.0, out=to_t, where=to_t < 0.0)
-    return (to_t >= lengths) & (centers > 0.0) & (1.0 - centers >= lengths)
-
-
-def _last_miss_guess(lengths: np.ndarray, t: float) -> np.ndarray:
-    """Where each half's misses end for real-valued centres: k = (t - l) * 2**53
-    and (1 - l) * 2**53, rounded down, shape (2, n).
-
-    The float predicate's roundings move each end by a few k at most; over
-    30,000 sampled thresholds the exact end was the guess or the k below.
-    """
-    return np.floor(np.stack((t - lengths, 1.0 - lengths)) * 2.0**_GRID_BITS).astype(np.int64)
-
-
 def _miss_words(lengths: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Raw Philox words whose centre misses both 0 and t, per arc: two ranges each.
 
     A word w is the centre u = k * 2**-53 with k = w >> 11, as
-    ``Generator.random`` makes it.  On k <= t * 2**53 (no wrap to add)
-    and on k above it (1 added), every condition of ``_misses_both`` is
-    monotone in u: IEEE rounding is monotone and ``1 - u`` is exact on the
-    grid.  So each half holds a prefix of misses, (0, a] and (k_t, b],
-    found by bisection on the float predicate itself.  The bisection
-    starts from 2 k either side of ``_last_miss_guess``; where the
-    predicate shows that this bracket does not hold, from the whole half.
+    ``Generator.random`` makes it; arc l at u misses x iff the float
+    ``(x - u) mod 1 >= l``.  With T = t * 2**53, L = l * 2**53 (scaling
+    by 2**53 is exact) and k_t = floor(T), the misses are k in [1, a] and
+    in (k_t, b], each empty if its end falls short, in closed form:
+
+    * k <= k_t (no wrap).  t - u is exact (both are multiples of ulp(t)
+      and 0 <= t - u <= t), and 1 - u >= 1 - t >= l, since t is below
+      the rounded 1 - l.  So k misses iff 1 <= k <= a = floor(T - L).
+      fl(T - L) lies within 1/2 of T - L, so a is its
+      floor or the integer below; take the one below, c, and add 1
+      where the exact test ``t - (c + 1) * 2**-53 >= l`` holds.
+      (fl can round up across an integer, so its floor alone is wrong.)
+    * k > k_t (wrapped).  -u and 1 - u are representable and rounding is
+      monotone, so fl(t - u) >= -u and fl(fl(t - u) + 1) >= 1 - u, which
+      is exact: the distance to t never decides.  So k misses iff
+      1 - u >= l, that is, k <= b = 2**53 - ceil(L).
+
     Returns ``starts`` of shape (2, 1) and ``widths`` of shape (2, n):
     word w misses in range i iff ``w - starts[i] < widths[i]`` in
     wrapping uint64 arithmetic.
     """
     k_t = int(t * 2.0**_GRID_BITS)
-    first = np.array([[1], [k_t + 1]], dtype=np.int64)
-    last = np.array([[k_t], [(1 << _GRID_BITS) - 1]], dtype=np.int64)
-    guess = _last_miss_guess(lengths, t)
-    lo = np.clip(guess - 2, first - 1, last)
-    hi = np.clip(guess + 2, first, last + 1)
-    # Invariant: k = lo misses or lies before the half; k = hi does not miss
-    # or lies past it.  Where the bracket breaks it, take the whole half.
-    held = (((lo < first) | _misses_both(lo * 2.0**-_GRID_BITS, lengths, t))
-            & ((hi > last) | ~_misses_both(hi * 2.0**-_GRID_BITS, lengths, t)))
-    lo = np.where(held, lo, first - 1)
-    hi = np.where(held, hi, last + 1)
-    while np.any(step := hi - lo > 1):
-        mid = (lo + hi) // 2
-        miss = _misses_both(mid * 2.0**-_GRID_BITS, lengths, t)
-        lo = np.where(step & miss, mid, lo)
-        hi = np.where(step & ~miss, mid, hi)
+    scaled = lengths * 2.0**_GRID_BITS
+    below = np.floor(t * 2.0**_GRID_BITS - scaled) - 1.0
+    below += t - (below + 1.0) * 2.0**-_GRID_BITS >= lengths
+    above = ((1 << _GRID_BITS) - k_t) - np.ceil(scaled)
+    widths = np.maximum(np.stack((below, above)), 0.0).astype(np.uint64)
     shift = np.uint64(_DISCARDED_BITS)
-    return first.astype(np.uint64) << shift, (lo - first + 1).astype(np.uint64) << shift
+    return np.array([[1], [k_t + 1]], dtype=np.uint64) << shift, widths << shift
 
 
 def pair_uncovered_mc(lengths, t: float, reps: int, seed: int) -> SimulationResult:
@@ -416,9 +393,11 @@ def pair_uncovered_mc(lengths, t: float, reps: int, seed: int) -> SimulationResu
     stream (there is no parallel execution to split across);
     deterministic in seed.  Row r of the stream's words holds the arcs
     of replication r, as ``Generator.random`` would give them as
-    centres.  Whether a word's centre misses both points is decided on
-    the raw word, by the integer ranges of ``_miss_words``: the same
-    decision as the float predicate ``_misses_both`` on every centre.
+    centres.  Arc l at centre u misses both points iff u > 0, the float
+    ``1 - u >= l``, and the float distance ``t - u`` (plus 1 where it is
+    negative) is ``>= l``.  That is decided on the raw word, by the
+    integer ranges of ``_miss_words``, with the same outcome on every
+    centre.
     """
     arr, t = _check_pair_args(lengths, t)
     if reps < 1:

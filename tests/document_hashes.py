@@ -16,7 +16,10 @@ Last come the documents of the byte kernel in ``arccover.cli``: a
 ``kernel_columns()`` of ``test_cli``, a table of every cell class
 (floats at the %g layout's edges, ties, zeros, subnormals, non-finite
 values, ints near 2**63, booleans and None), through ``cli.render`` in
-CSV and in JSON.  A CLI operation's document is its standard output; a
+CSV and in JSON.  Last of all, the integer word ranges with which
+``covering._miss_words`` decides ``pair_uncovered_mc``, one line per
+(lengths, t) case of ``test_covering.pair_cases``, every kind
+(adversarial included).  A CLI operation's document is its standard output; a
 ``gap_measure_samples`` document is its samples, one ``repr`` a line,
 as ``bench/worker.py`` renders them; an inequality document is its
 results, one ``float.hex`` each.  A change
@@ -41,7 +44,7 @@ import numpy as np
 
 from arccover import chebyshev
 from arccover.cli import RunConfig, main, render
-from arccover.covering import gap_measure_samples
+from arccover.covering import _miss_words, gap_measure_samples
 from arccover.sequences import LengthSequence, generate
 
 TESTS = Path(__file__).parent
@@ -49,6 +52,7 @@ sys.path.insert(0, str(TESTS))
 sys.path.insert(0, str(TESTS.parent / "bench"))
 from conftest import shepp_factor_polyline  # noqa: E402
 from test_cli import GOLDEN_CASES, kernel_columns  # noqa: E402
+from test_covering import PAIR_KINDS, pair_cases  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (1, 7, 101)
@@ -56,6 +60,7 @@ EARLY_COVER = {"seq": {"family": "harmonic", "c": 0.7, "cap": 0.99}, "n": 3000, 
 LARGE_FAMILIES = (24, 50, 500)
 CRITERION_JSON = ("criterion", "--seq", "harmonic:c=2.0,cap=0.99", "--n", "100000", "--format", "json")
 MIXED_BATCH = (1, 10, 22, 23, 24, 30, 50)
+MISS_WORD_CASES = 400
 
 
 def document(argv) -> str:
@@ -96,6 +101,14 @@ def mixed_batch_document() -> str:
     return hex_document([*lhs, *rhs])
 
 
+def miss_words_document(kind: str) -> str:
+    lines = []
+    for lengths, t in pair_cases(kind, MISS_WORD_CASES, seed=7000 + PAIR_KINDS.index(kind)):
+        starts, widths = _miss_words(np.asarray(lengths), t)
+        lines.append(" ".join(map(str, [*starts.ravel().tolist(), *widths.ravel().tolist()])))
+    return "\n".join(lines) + "\n"
+
+
 def documents():
     """(label, text) of every document, goldens first."""
     for name, argv in sorted(GOLDEN_CASES.items()):
@@ -120,6 +133,8 @@ def documents():
     yield "render/criterion-100000.json", document(CRITERION_JSON)
     for fmt in ("csv", "json"):
         yield f"render/kernel-columns.{fmt}", render(RunConfig(command="criterion", format=fmt), kernel_columns())
+    for kind in PAIR_KINDS:
+        yield f"pair-probe/miss-words/{kind}", miss_words_document(kind)
 
 
 if __name__ == "__main__":
