@@ -22,7 +22,74 @@ MAX_NODES = 12
 _SUM2_BLOCK = 1 << 14
 
 
-def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+def exact_parts(values, sizes=None) -> list[list[float]]:
+    """A few floats with the exact sum of ``values``, or of each of its consecutive segments of ``sizes`` terms.
+
+    ``math.fsum`` of a segment's parts is correctly rounded, so it has
+    the bits of ``math.fsum`` of the segment itself, at numpy's speed
+    rather than a Python float per term.  The passes are the error-free
+    ExtractVector of Rump, Ogita & Oishi ("Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008).  For a segment
+    of n finite floats x with 0 < max|x| < 2**e, take 2**k >= n + 2 and
+    sigma = 2**(e+k), u = 2**-53, and round to nearest:
+
+    * s = fl(sigma + x) is the float nearest sigma + x, and sigma and
+      sigma +- 2**e are floats, so |s - sigma - x| <= |x| < 2**e and
+      |s - sigma - x| <= u*sigma, half the float spacing below 2*sigma.
+      s lies in [sigma/2, 2*sigma] (k >= 2), so q = fl(s - sigma) is
+      exact (Sterbenz), a multiple of u*sigma, as every float from
+      sigma/2 up is, and |q| <= 2**e.
+    * r = x - q is exact: |r| <= |x| and q is a multiple of x's unit in
+      the last place, so r is such a multiple below 2**53 of them.
+    * Every sum of some of the q is a multiple of u*sigma below
+      n * 2**e < sigma = 2**53 * u*sigma in size: a float.  So
+      ``np.add.reduceat`` adds the q exactly, in whatever order it adds.
+      Subnormal x change nothing: every float is a multiple of 2**-1074,
+      and every such multiple below 2**-1021 is a float.
+
+    So x = sum(q) + r exactly, sum(q) goes to the parts, and the next
+    pass works on r, with |r| <= 2**(e+k-53): each pass takes 52 - k
+    bits off the top, and a block of 65536 terms in one binade is done
+    in two.  After four passes a nonzero remainder joins the parts as
+    it is.  A segment with a non-finite term, or one so large that
+    2*sigma overflows, is its own parts, so ``math.fsum`` keeps its
+    inf, nan, ValueError and OverflowError.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    sizes = np.array([x.size]) if sizes is None else np.asarray(sizes, dtype=np.int64)
+    parts = [[] for _ in range(sizes.size)]
+    live = np.flatnonzero(sizes)  # reduceat would read an empty segment as its next term
+    starts, n = (np.cumsum(sizes) - sizes)[live], sizes[live]
+    k = np.frexp(n + 1.0)[1]  # 2**k >= n + 2
+    top = np.maximum.reduceat(np.abs(x), starts) if live.size else np.zeros(0)
+    raw = ~np.isfinite(top) | (np.frexp(top)[1] + k > 1023)
+    if raw.any():
+        x = x.copy()
+        for j in np.flatnonzero(raw).tolist():
+            segment = slice(starts[j], starts[j] + n[j])
+            parts[live[j]] = x[segment].tolist()
+            x[segment] = 0.0
+        top[raw] = 0.0
+    sums = []
+    for _ in range(4):
+        if not top.any():
+            break
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + k)
+        sigma = np.repeat(sigma, n) if sigma.size > 1 else sigma
+        q = x + sigma
+        q -= sigma
+        sums.append(np.add.reduceat(q, starts).tolist())
+        x = np.subtract(x, q, out=q)
+        top = np.maximum.reduceat(np.abs(x), starts)
+    for j, segment_sums in zip(live.tolist(), zip(*sums)):
+        parts[j] += segment_sums
+    for j in np.flatnonzero(top).tolist():
+        rest = x[starts[j]:starts[j] + n[j]]
+        parts[live[j]] += rest[rest != 0.0].tolist()
+    return parts
+
+
+def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
     """Running sums of ``values`` along ``axis``, each as if summed in twice the working precision.
 
     The cumulative form of Sum2 (Ogita, Rump & Oishi, "Accurate sum and
@@ -41,11 +108,16 @@ def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None) -> 
     the temporaries stay cache-sized, and ``out`` may be ``values``
     itself.  Every step is elementwise or a cumsum along ``axis``, so each
     line of a 2-D array gets the bits of the 1-D call on that line.
+    ``carry``, a list, carries the same two sums from call to call: the
+    sums start from the two it holds (from zero if it is empty), and it
+    is left holding the two at the end.  So consecutive blocks of a
+    series, each passed with the same list, get the bits of one call on
+    the whole series.
     """
     x = np.asarray(values, dtype=np.float64).swapaxes(0, axis)
     result = np.empty(np.shape(values)) if out is None else out
     p = result.swapaxes(0, axis)
-    total = error = np.zeros(x.shape[1:])
+    total, error = carry or (np.zeros(x.shape[1:]),) * 2
     step = max(1, _SUM2_BLOCK // max(1, math.prod(x.shape[1:])))
     for start in range(0, x.shape[0], step):
         block = x[start:start + step]
@@ -59,6 +131,8 @@ def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None) -> 
         np.cumsum(err, axis=0, out=err)
         total, error = sums[-1], err[-1]
         np.add(sums[1:], err, out=p[start:start + step])
+    if carry is not None:
+        carry[:] = total, error
     return result
 
 

@@ -35,8 +35,10 @@ then, function after function, ``segments`` inner breakpoints
 ``eps * random()``, of which tied and out-of-range draws are dropped,
 then one value per kept breakpoint (both ends included), floored at
 VALUE_FLOOR and sorted to match the direction.  The draws are read from
-one bulk ``random(n * (2*segments + 2))``, an upper bound on what the
-family reads, which gives the same doubles as the calls one by one.
+one bulk ``random(1 + n * (2*segments + 2))``, an upper bound on what the
+family reads, which gives the same doubles as the calls one by one; eps
+is ``0.2 + (1.0 - 0.2) * u`` of its first, numpy's own ``uniform``
+arithmetic.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import MAX_NODES, product_rule
+from ._accum import MAX_NODES, exact_parts, product_rule
 
 DIRECTIONS = ("increasing", "decreasing")
 
@@ -162,7 +164,7 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
     degree n or, from one family's eps to the next one's 0, 0; its
     segment map gives each line's piece, the lines to drop and each
     family's lines.  Factors multiply in row order and each family's
-    weighted products go into one ``math.fsum``.
+    weighted products go into one ``math.fsum`` through ``exact_parts``.
     """
     order = np.argsort(-ns, kind="stable")
     b, v, ns = b[order], v[order], ns[order]
@@ -223,7 +225,7 @@ def _product_integrals(b: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarr
             prod[:k] *= f
     terms = np.concatenate([(prod * w).ravel() for prod, (x, w, *_) in zip(prods, groups)])
     out = np.empty(families)
-    out[order] = [math.fsum(terms[e - k:e].tolist()) for e, k in zip(np.cumsum(sizes).tolist(), sizes)]
+    out[order] = [math.fsum(parts) for parts in exact_parts(terms, sizes)]
     return out
 
 
@@ -336,8 +338,9 @@ def _family_batch(seeds, ns, increasing, segments) -> tuple[np.ndarray, np.ndarr
     eps = np.empty((families, 1))
     for k, (seed, size) in enumerate(zip(seeds, sizes.tolist())):
         rng = np.random.default_rng(seed)
-        eps[k] = rng.uniform(0.2, 1.0)
-        stream[k, :size] = rng.random(size)
+        u = rng.random(size + 1)
+        eps[k] = 0.2 + (1.0 - 0.2) * u[0]  # rng.uniform(0.2, 1.0), bit for bit
+        stream[k, :size] = u[1:]
     sign = np.where(increasing, 1.0, -1.0)[:, None]  # a decreasing row is sorted negated
     columns, each = np.arange(width), np.arange(families)[:, None]
     b = np.zeros((families, rows, width))

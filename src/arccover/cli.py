@@ -443,17 +443,20 @@ def _run_divergence(config: RunConfig) -> dict:
 
 
 def _run_criterion(config: RunConfig) -> dict:
-    picks = np.arange(config.n)
     if config.checkpoints:
         # Rows follow the given order; checkpoint 0 selects no row.
         checkpoints = config.checkpoints
         if min(checkpoints) < 0 or max(checkpoints) > config.n or len(set(checkpoints)) < len(checkpoints):
             raise ValueError(f"checkpoints must be distinct and lie in 0..n = {config.n}")
-        picks = np.array([c - 1 for c in checkpoints if c >= 1], dtype=np.int64)
-    seq = parse_sequence_spec(config.seq)
-    series = integrals.criterion_partial_sums(seq, config.n)
+        n = np.array([c for c in checkpoints if c >= 1], dtype=np.int64)
+        stops = np.sort(n)
+        series = integrals.criterion_partial_sums(parse_sequence_spec(config.seq), config.n, stops.tolist())
+        picks = np.searchsorted(stops, n)
+    else:
+        series = integrals.criterion_partial_sums(parse_sequence_spec(config.seq), config.n)
+        n, picks = np.arange(1, config.n + 1), slice(None)
     return {
-        "n": picks + 1,
+        "n": n,
         "log_term": series.partial_log_terms[picks],
         "log_partial_sum": series.log_partial_sums[picks],
         "partial_sum": series.partial_sums[picks],

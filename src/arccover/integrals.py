@@ -28,7 +28,8 @@ squared single-point avoidance probability.  This module evaluates
 
 Cumulative sums (length prefixes, flat-factor and power-sum prefixes)
 are compensated with the cumulative form of Sum2
-(``_accum.compensated_cumsum``).
+(``_accum.compensated_cumsum``); the certificate's tail sum is the
+correctly rounded ``math.fsum`` of its exact parts (``_accum.exact_parts``).
 
 All reals are 64-bit floats and all log values are natural logs.
 Everything is a pure function of its inputs and safe to call
@@ -37,18 +38,17 @@ concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import MAX_NODES, compensated_cumsum, log_sum_exp, product_rule
-from .sequences import LengthSequence, as_lengths, check_window, epsilon_window, generate
+from ._accum import MAX_NODES, compensated_cumsum, exact_parts, log_sum_exp, product_rule
+from .sequences import LengthSequence, as_lengths, blocks, check_window, epsilon_window, generate
 
-# Both ways of evaluating the log-integrand, and the certificate's tail sum,
-# work in chunks that bound peak memory; a block of at most 512 KiB also
-# stays in cache through the passes over it.
+# Both ways of evaluating the log-integrand, the certificate and the criterion
+# series work in chunks that bound peak memory; a block of at most 512 KiB
+# also stays in cache through the passes over it.
 _CHUNK_ELEMENTS = 1 << 16
 
 # The centred expansion keeps every |x - c| / r at most _RHO and cuts each
@@ -391,33 +391,35 @@ def _log_g(x: np.ndarray, eps: float) -> np.ndarray:
     return np.log1p(ratio, out=ratio)
 
 
-def _certificate(blocks, eps: float) -> LowerBoundCertificate:
-    """The certificate of the lengths that ``blocks`` yields, as consecutive
-    nonincreasing arrays, so no temporary holds all of them."""
+def _certificates(source, eps: float, stops) -> list[LowerBoundCertificate]:
+    """The certificate of the first n lengths of ``source`` for each n of the ascending ``stops``.
+
+    One pass over ``sequences.blocks(source, stops)``, so no temporary
+    holds all the lengths and each is made once, whatever the stops.
+    """
     # A tail length's integral(f_l) = eps * g_eps(l): its eps cancels one of
     # eps**(1-n) before any rounding, so only the m head terms keep theirs.
-    # Lengths are nonincreasing, so the head, l >= eps, leads every block.
-    # fsum rounds once over all the terms it is given, so feeding the tail's
-    # block by block keeps its bits.
-    head = []
+    # Lengths are nonincreasing, so the head, l >= eps, leads.  Each block's
+    # tail terms become a few parts of the same exact sum, so the fsum of the
+    # parts so far has the bits of the fsum of every tail term so far.
+    half_eps_sq, log_eps = 0.5 * eps * eps, math.log(eps)
+    head, parts = [], []
 
-    def tail_terms():
-        for block in blocks:
-            m = int(np.count_nonzero(block >= eps))
-            head.extend(block[:m].tolist())
-            yield _log_g(block[m:], eps)
+    def row() -> LowerBoundCertificate:
+        log_c = (1.0 - len(head)) * log_eps + math.fsum(head)
+        g_log_sum = math.fsum(parts)
+        return LowerBoundCertificate(m=len(head), log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
 
-    g_log_sum = math.fsum(itertools.chain.from_iterable(tail_terms()))
-    # The head lengths are l >= eps, checked against the window already:
-    # pair_factor_integral's l >= eps branch, without its checks.
-    half_eps_sq = 0.5 * eps * eps
-    head_sum = math.fsum(math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in head)
-    log_c = (1.0 - len(head)) * math.log(eps) + head_sum
-    return LowerBoundCertificate(m=len(head), log_C=log_c, g_log_sum=g_log_sum, bound_log=log_c + g_log_sum)
-
-
-def _blocks(lengths: np.ndarray):
-    return (lengths[start:start + _CHUNK_ELEMENTS] for start in range(0, lengths.size, _CHUNK_ELEMENTS))
+    rows = [row() for n in stops if n == 0]
+    for end, block in blocks(source, stops, _CHUNK_ELEMENTS):
+        m = int(np.count_nonzero(block >= eps))
+        # The head lengths are l >= eps, checked against the window already:
+        # pair_factor_integral's l >= eps branch, without its checks.
+        head += [math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in block[:m].tolist()]
+        parts += exact_parts(_log_g(block[m:], eps))[0]
+        if end == stops[len(rows)]:
+            rows.append(row())
+    return rows
 
 
 def _check_bound_path(eps: float) -> None:
@@ -438,7 +440,7 @@ def chebyshev_lower_bound(lengths, eps: float) -> float:
     if lengths.size == 0:
         return eps
     with np.errstate(over="ignore"):
-        return float(np.exp(_certificate(_blocks(lengths), eps).bound_log))
+        return float(np.exp(_certificates(lengths, eps, [lengths.size])[0].bound_log))
 
 
 def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
@@ -453,7 +455,7 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
     _check_bound_path(eps)
-    return _certificate(_blocks(lengths), eps)
+    return _certificates(lengths, eps, [lengths.size])[0]
 
 
 def divergence_table(
@@ -469,8 +471,8 @@ def divergence_table(
     quadrature costs O(n) points of O(P) work each after O(k*P*n) prefix
     sums (see ``product_integral``), 0.06 s at n = 10**4 for the README
     sequence on a 2-core x86-64 VM.  The certificate costs O(n) and is always
-    reported; it generates the lengths a block at a time, so its memory does
-    not grow with n.
+    reported; one pass generates the lengths a block at a time, to the last
+    checkpoint, so its memory does not grow with n.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
@@ -488,10 +490,7 @@ def divergence_table(
     n_quad = max((n for n in checkpoints if n <= quadrature_cap), default=0)
     lengths = generate(seq, n_quad) if n_quad >= 1 else np.empty(0)
     rows = []
-    for n in checkpoints:
-        blocks = (generate(seq, min(start + _CHUNK_ELEMENTS, n), start=start)
-                  for start in range(0, n, _CHUNK_ELEMENTS))
-        cert = _certificate(blocks, eps)
+    for n, cert in zip(checkpoints, _certificates(seq, eps, checkpoints)):
         if n <= quadrature_cap:
             log_pi = product_integral(lengths[:n], eps).log_value
         else:
@@ -504,7 +503,7 @@ def divergence_table(
 # ---------------------------------------------------------------------------
 # covering criterion series
 
-def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
+def criterion_partial_sums(seq: LengthSequence, N: int, checkpoints=None) -> CriterionSeries:
     """Partial sums S_N of sum_n n**(-2) * exp(l_1 + ... + l_n).
 
     Length prefixes are accumulated with the cumulative form of Sum2
@@ -513,16 +512,35 @@ def criterion_partial_sums(seq: LengthSequence, N: int) -> CriterionSeries:
     growth is not lost to roundoff over as many as 1e6 terms.  The
     plain-scale partial sums overflow to inf where exp does; the log
     scale stays exact.
+
+    The series runs in blocks of ``sequences.blocks``, each carrying
+    Sum2's two sums and the last log partial sum into the next, so every
+    row has the bits of one pass over all N terms.  With ``checkpoints``,
+    ascending n in 1..N, only their rows are kept, and memory does not
+    grow with N.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    # In place: at N = 10**6 each full-length temporary is 8 MB.
-    lengths = generate(seq, N)
-    log_terms = compensated_cumsum(lengths, out=lengths)
-    log_n = np.log(np.arange(1, N + 1, dtype=np.float64))
-    log_terms -= np.multiply(2.0, log_n, out=log_n)
-    del log_n
-    log_sums = np.logaddexp.accumulate(log_terms)
+    whole = checkpoints is None
+    stops = [N] if whole else [int(n) for n in checkpoints]
+    if any(not 1 <= n <= N for n in stops) or any(b <= a for a, b in zip(stops, stops[1:])):
+        raise ValueError(f"checkpoints must be strictly ascending and lie in 1..N = {N}")
+    generate(seq, N, start=N - 1)  # the last term: raises as generate(seq, N) would
+    size = N if whole else len(stops)
+    log_terms, log_sums = np.empty(size), np.empty(size)
+    carry, last, row = [], np.empty(0), 0
+    for end, block in blocks(seq, stops, _CHUNK_ELEMENTS):
+        start = end - block.size
+        terms = compensated_cumsum(block, out=log_terms[start:end] if whole else block, carry=carry)
+        log_n = np.log(np.arange(start + 1, end + 1, dtype=np.float64))
+        terms -= np.multiply(2.0, log_n, out=log_n)
+        sums = np.logaddexp.accumulate(np.concatenate((last, terms)))[last.size:]
+        last = sums[-1:]
+        if whole:
+            log_sums[start:end] = sums
+        elif end == stops[row]:
+            log_terms[row], log_sums[row] = terms[-1], sums[-1]
+            row += 1
     with np.errstate(over="ignore"):
-        sums = np.exp(log_sums)
-    return CriterionSeries(partial_log_terms=log_terms, log_partial_sums=log_sums, partial_sums=sums)
+        partial_sums = np.exp(log_sums)
+    return CriterionSeries(partial_log_terms=log_terms, log_partial_sums=log_sums, partial_sums=partial_sums)

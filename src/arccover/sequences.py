@@ -152,6 +152,26 @@ def generate(seq: LengthSequence, n: int, start: int = 0) -> np.ndarray:
     return lengths
 
 
+def blocks(source, stops, size: int):
+    """The lengths 1 to ``stops[-1]`` of ``source`` in consecutive arrays of at most ``size``, cut at every stop.
+
+    ``source`` is a LengthSequence, generated a block at a time, or an
+    array of lengths, sliced; ``stops`` ascend.  Yields (end, block),
+    the block holding lengths ``end - len(block) + 1`` to ``end``, so
+    that a series carried from block to block can be read at each stop
+    without ever holding all of its terms.
+    """
+    start = 0
+    for stop in stops:
+        for first in range(start, stop, size):
+            end = min(first + size, stop)
+            if isinstance(source, LengthSequence):
+                yield end, generate(source, end, start=first)
+            else:
+                yield end, source[first:end]
+        start = max(start, stop)
+
+
 def check_window(lengths: np.ndarray, eps: float) -> float:
     """``eps`` as a float, checked to satisfy 0 < eps < 1 - l_1 for nonincreasing ``lengths``."""
     eps = float(eps)

@@ -19,7 +19,11 @@ values, ints near 2**63, booleans and None), through ``cli.render`` in
 CSV and in JSON.  Last of all, the integer word ranges with which
 ``covering._miss_words`` decides ``pair_uncovered_mc``, one line per
 (lengths, t) case of ``test_covering.pair_cases``, every kind
-(adversarial included).  A CLI operation's document is its standard output; a
+(adversarial included).  Then the long series at their real block
+edges (``integrals._CHUNK_ELEMENTS`` = 65536 terms): a ``divergence``
+certificate with checkpoints on, before and after the first two edges,
+a ``criterion`` with checkpoints out of order around them, and a full
+``criterion`` of 131073 rows in CSV.  A CLI operation's document is its standard output; a
 ``gap_measure_samples`` document is its samples, one ``repr`` a line,
 as ``bench/worker.py`` renders them; an inequality document is its
 results, one ``float.hex`` each.  A change
@@ -61,6 +65,13 @@ LARGE_FAMILIES = (24, 50, 500)
 CRITERION_JSON = ("criterion", "--seq", "harmonic:c=2.0,cap=0.99", "--n", "100000", "--format", "json")
 MIXED_BATCH = (1, 10, 22, 23, 24, 30, 50)
 MISS_WORD_CASES = 400
+BLOCK_EDGES = {
+    "divergence-certificate": ("divergence", "--seq", "inverse-sqrt:c=1,cap=0.49", "--eps", "0.25",
+                               "--checkpoints", "1,65535,65536,65537,131072,200000", "--quadrature-cap", "0"),
+    "criterion-checkpoints": ("criterion", "--seq", "harmonic:c=2.0,cap=0.99", "--n", "131073",
+                              "--checkpoints", "131073,65536,1,65537"),
+    "criterion-131073.csv": ("criterion", "--seq", "harmonic:c=2.0,cap=0.99", "--n", "131073", "--format", "csv"),
+}
 
 
 def document(argv) -> str:
@@ -135,6 +146,8 @@ def documents():
         yield f"render/kernel-columns.{fmt}", render(RunConfig(command="criterion", format=fmt), kernel_columns())
     for kind in PAIR_KINDS:
         yield f"pair-probe/miss-words/{kind}", miss_words_document(kind)
+    for name, argv in BLOCK_EDGES.items():
+        yield f"block-edges/{name}", document(argv)
 
 
 if __name__ == "__main__":

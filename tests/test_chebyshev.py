@@ -371,11 +371,11 @@ class TestRowKernel:
         family = reference_family(0, 2, "decreasing", 4)
         rows = chebyshev._family_rows(0, 2, "decreasing", 4)
         reference, kernel = generators
-        # The per-function draws read exactly the script; the kernel reads eps,
-        # then n * (2*segments + 2) = 20 in one call, 18 of them scripted.
+        # The per-function draws read exactly the script; the kernel reads eps
+        # and n * (2*segments + 2) = 20 more in one call, 19 of them scripted.
         assert reference.sizes[1:] == [4, 4, 4, 6]
         assert np.isnan(reference.draws).all() and len(reference.draws) == len(sentinels)
-        assert kernel.sizes == [1, 20] and len(kernel.draws) == len(sentinels) - 2
+        assert kernel.sizes == [21] and len(kernel.draws) == len(sentinels) - 2
         assert np.isfinite(rows).all()
         assert_rows_equal(rows, family)
         eps = float(rows[0][0, -1])

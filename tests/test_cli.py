@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover import _accum, cli
+from arccover import _accum, cli, integrals
 from arccover.chebyshev import random_monotone_family
 from arccover.cli import TRIAL_MAX_FUNCTIONS, TRIAL_MAX_SEGMENTS, RunConfig, _cell, main, render
 from arccover.sequences import generate, parse_sequence_spec
@@ -322,6 +323,32 @@ class TestSchemas:
         assert lines[0] == "# command=criterion"
         assert len(lines) == len(json.loads(run_cli(argv[:-1] + ["json"], capsys))["config"])
         assert all(line.startswith("# ") for line in lines)
+
+    def test_criterion_checkpoints_in_any_order_are_the_full_rows(self, monkeypatch):
+        # Blocks of 7 terms: the rows fall on, before and after block edges.
+        monkeypatch.setattr(integrals, "_CHUNK_ELEMENTS", 7)
+        full = cli._run_criterion(RunConfig(command="criterion", seq="harmonic:c=2", n=50))
+        checkpoints = (50, 7, 1, 0, 8, 14, 15)
+        rows = cli._run_criterion(RunConfig(command="criterion", seq="harmonic:c=2", n=50,
+                                            checkpoints=checkpoints))
+        picks = [c - 1 for c in checkpoints if c >= 1]
+        assert rows["n"].tolist() == full["n"][picks].tolist() == [50, 7, 1, 8, 14, 15]
+        for name in ("log_term", "log_partial_sum", "partial_sum"):
+            assert rows[name].view(np.uint64).tolist() == full[name][picks].view(np.uint64).tolist()
+
+    def test_criterion_checkpoint_memory_does_not_grow_with_n(self):
+        # At n = 10**6 a full-length column alone would take 8 MB.
+        peaks = []
+        for n in (10**5, 10**6):
+            config = RunConfig(command="criterion", seq="harmonic:c=2,cap=0.99", n=n,
+                               checkpoints=(n, 10, n // 10, 1000))
+            tracemalloc.start()
+            try:
+                cli._run_criterion(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
     def test_float_formatting_is_17g(self, capsys):
         out = run_cli(GOLDEN_CASES["criterion.csv"], capsys)

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arccover import covering
+from arccover._accum import segmented_gauss_legendre
 from arccover._philox import uniforms
 from arccover.covering import (
     Arc,
@@ -26,6 +28,7 @@ from arccover.covering import (
     pair_uncovered_exact,
     pair_uncovered_mc,
 )
+from arccover.integrals import product_integral
 from arccover.sequences import LengthSequence, generate
 
 from conftest import uncovered_fraction_grid
@@ -508,3 +511,62 @@ class TestReplicationLimit:
 
     def test_every_spawn_key_below_2_32_is_allowed(self):
         assert _check_run_args(12, 2**32, 5) == 5
+
+
+def stevens(n: int, a: float) -> Fraction:
+    """The chance that n arcs of length a, placed uniformly, cover the circle, exactly.
+
+    Stevens (1939): sum over k of (-1)**k * C(n, k) * (1 - k*a)_+**(n-1),
+    for the float a itself; its alternating sum cancels, hence fractions.
+    """
+    a = Fraction(a)
+    return sum((-1) ** k * math.comb(n, k) * (1 - k * a) ** (n - 1) for k in range(n + 1) if k * a < 1)
+
+
+class TestOracles:
+    """The Monte Carlo and the product integral against exact values and the second-moment chain."""
+
+    REPS = 20_000
+
+    def test_stevens_formula(self):
+        assert stevens(2, 0.6) == Fraction(0.6) * 2 - 1
+        assert stevens(5, 0.1) == 0 and stevens(1, 0.9) == 0
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 30, 100])
+    def test_coverage_matches_stevens(self, n):
+        for i, a in enumerate((0.05, 0.2, 0.3, 0.45, 0.7)):
+            p = stevens(n, a)
+            covered = coverage_probability(LengthSequence.constant(a), n, self.REPS, 100 * n + i).covered_count
+            variance = float(p * (1 - p))
+            if variance == 0.0:
+                assert covered == p * self.REPS, a
+            else:
+                z = float(Fraction(covered, self.REPS) - p) / math.sqrt(variance / self.REPS)
+                assert abs(z) < 4.0, (a, float(p), z)
+
+    @pytest.mark.parametrize("c", [0.4, 0.8])
+    def test_second_moment_through_product_integral(self, c):
+        # E[U**2] is the chance that two uniform points both stay uncovered:
+        # 2 * integral over d in [0, 1/2] of prod (1 - l - min(l, d)), which is
+        # 2 * prod (1 - l)**2 * I_n(1/2) for lengths below 1/2.
+        seq, n = LengthSequence.harmonic(c=c, cap=0.45), 10
+        lengths = generate(seq, n)
+        moment = 2.0 * float(np.prod((1.0 - lengths) ** 2)) * product_integral(lengths, 0.5).value
+        # Acceptance 9's target: the exact pair probability, a polynomial of
+        # degree <= n between lengths, by an exact Gauss-Legendre rule.
+        nodes, weights = segmented_gauss_legendre(np.unique(np.concatenate(([0.0, 0.5], lengths))), n // 2 + 1)
+        target = 2.0 * math.fsum(w * pair_uncovered_exact(lengths, d) for d, w in zip(nodes, weights))
+        assert moment == pytest.approx(target, rel=1e-14)
+        squares = gap_measure_samples(seq, n, self.REPS, 2025) ** 2
+        se = float(squares.std(ddof=1)) / math.sqrt(self.REPS)
+        assert abs(float(squares.mean()) - moment) < 4.0 * se
+
+    @pytest.mark.parametrize("c", [0.5, 0.8, 1.0, 1.5])
+    def test_paley_zygmund_bounds_the_chance_to_stay_uncovered(self, c):
+        # P(U > 0) >= E[U]**2 / E[U**2] = 1 / (2 * I_n(1/2)).
+        seq, n = LengthSequence.harmonic(c=c, cap=0.45), 100
+        bound = 1.0 / (2.0 * product_integral(generate(seq, n), 0.5).value)
+        uncovered = 1.0 - coverage_probability(seq, n, self.REPS, 31).covered_count / self.REPS
+        se = math.sqrt(uncovered * (1.0 - uncovered) / self.REPS)
+        assert 0.0 < bound < 1.0
+        assert uncovered >= bound - 3.0 * se, (bound, uncovered)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arccover import integrals
-from arccover._accum import MAX_NODES, compensated_cumsum, gauss_legendre, log_sum_exp, product_rule
+from arccover._accum import MAX_NODES, compensated_cumsum, exact_parts, gauss_legendre, log_sum_exp, product_rule
 from arccover.cli import main
 from arccover.integrals import (
     chebyshev_lower_bound,
@@ -255,6 +255,119 @@ class TestCompensatedCumsum:
         values = [1.0] + [2.0**-53] * 1000
         assert np.cumsum(values)[-1] == 1.0
         assert compensated_cumsum(values)[-1] == 1.0 + 1000 * 2.0**-53
+
+
+def fsum_outcome(values):
+    """math.fsum of ``values``, or the type of what it raised; nan as a string, so == compares it."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(total) else total
+
+
+# Finite floats of every binade, subnormals included, with 53-bit mantissas.
+WIDE_FLOATS = st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1), st.integers(-1126, 970))
+
+
+class TestExactParts:
+    """fsum of exact_parts is fsum of the terms, compared with ==."""
+
+    @staticmethod
+    def check(values) -> list[float]:
+        x = np.array(values, dtype=np.float64)
+        (parts,) = exact_parts(x)
+        assert fsum_outcome(parts) == fsum_outcome(x.tolist())
+        return parts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+    def test_any_finite_floats(self, values):
+        self.check(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WIDE_FLOATS, max_size=60))
+    def test_any_exponent_span(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0**-53],  # a tie at the 54th bit, to even: 1
+        [1.0 + 2.0**-52, 2.0**-53],  # to even: up
+        [1.0, 2.0**-53, 2.0**-200],  # just above the tie
+        [1.0, 2.0**-53, -2.0**-200],  # just below it
+        [1.0] + [2.0**-63] * 1024,  # a tie made of many terms
+        [1.0 + 2.0**-52] + [2.0**-63] * 1024,
+        [-1.0] + [-2.0**-63] * 1023 + [-2.0**-64, -2.0**-64],
+    ], ids=["even", "odd", "above", "below", "many-even", "many-odd", "many-negative"])
+    def test_ties_at_the_54th_bit(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("values", [
+        [1e16, 1.0, -1e16],
+        [1e300, 1.0, -1e300, 1e-300],
+        [2.0**60, 3.0, -2.0**60, 2.0**-60, -(2.0**-60)],
+        [0.1] * 10 + [-1.0],
+        [5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308],
+    ], ids=["1e16", "1e300", "2**60", "tenths", "subnormal"])
+    def test_heavy_cancellation(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("n", [5, 6, 13, 14, 29, 30, 61, 62, 125, 126, 1021, 1022])
+    def test_as_many_terms_as_sigma_allows(self, n):
+        # Same-sign terms just under a power of two, each an odd multiple of
+        # its grid: their sum reaches up to (2**k - 2) * 2**e, where only a
+        # sigma of 2**(e+k) keeps every partial sum exact.
+        self.check(np.full(n, -(1.0 - 2.0**-51)))
+        self.check(np.full(n, 1.0 - 2.0**-52) * np.where(np.arange(n) % 3, 1.0, 1.0 - 2.0**-51))
+
+    @pytest.mark.parametrize("step", [25, 60, 200])
+    def test_remainder_after_the_last_pass_joins_the_parts(self, step):
+        # 2**0 ... 2**-1074: four passes cannot take so wide a span.
+        values = [2.0**-e for e in range(0, 1075, step)] + [5e-324]
+        parts = self.check(values)
+        assert len(parts) > 4
+        self.check([-v for v in values] + [1.0])
+
+    @pytest.mark.parametrize("values", [
+        [1.7976931348623157e308],
+        [1.7976931348623157e308, 1.7976931348623157e308],
+        [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+        [2.0**1021, 2.0**1021],  # 2*sigma would overflow: the terms go to fsum
+        [2.0**1021 - 2.0**968, 2.0**1021 - 2.0**968],  # the largest sigma, 2**1023
+        [-(2.0**1021 - 2.0**968), -(2.0**1021 - 2.0**968)],
+        [2.0**1020, 2.0**1020, 2.0**1020, -1.0],
+    ], ids=["max", "max-max", "max-max-minus", "max-minus-max", "2**1021", "below-2**1021",
+            "below-minus-2**1021", "three-2**1020"])
+    def test_near_the_largest_float(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf], [-math.inf, 1e308, 1e308], [math.nan, 1.0], [math.inf, -math.inf],
+        [1.0, math.inf, math.nan], [],
+    ], ids=["inf", "minus-inf", "nan", "inf-minus-inf", "inf-nan", "empty"])
+    def test_non_finite_and_empty(self, values):
+        self.check(values)
+
+    def test_empty_parts_sum_to_zero(self):
+        assert exact_parts(np.empty(0)) == [[]]
+        assert exact_parts(np.zeros(5)) == [[]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(WIDE_FLOATS | st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308]),
+                             max_size=20), max_size=8))
+    def test_each_segment(self, segments):
+        values = np.array([v for segment in segments for v in segment], dtype=np.float64)
+        parts = exact_parts(values, [len(segment) for segment in segments])
+        assert len(parts) == len(segments)
+        for segment, segment_parts in zip(segments, parts):
+            assert fsum_outcome(segment_parts) == fsum_outcome(segment)
+
+    def test_empty_segments(self):
+        values = np.array([0.1, 0.2, 0.3, 1e16, 1.0, -1e16])
+        parts = exact_parts(values, [0, 3, 0, 0, 3, 0])
+        assert [fsum_outcome(p) for p in parts] == [0.0, math.fsum([0.1, 0.2, 0.3]), 0.0, 0.0, 1.0, 0.0]
+        assert exact_parts(np.empty(0), [0, 0]) == [[], []]
 
 
 class TestProductIntegral:
@@ -874,3 +987,40 @@ class TestCriterionSeries:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="N must be"):
             criterion_partial_sums(LengthSequence.constant(0.5), 0)
+
+    def test_rejects_bad_checkpoints(self):
+        for checkpoints in ([0, 3], [3, 2], [2, 2], [11]):
+            with pytest.raises(ValueError, match="checkpoints"):
+                criterion_partial_sums(LengthSequence.constant(0.5), 10, checkpoints)
+
+    @staticmethod
+    def one_pass(seq, N):
+        """The three columns as one pass over all N terms: one Sum2 and one logaddexp.accumulate."""
+        log_terms = compensated_cumsum(generate(seq, N)) - 2.0 * np.log(np.arange(1, N + 1, dtype=np.float64))
+        log_sums = np.logaddexp.accumulate(log_terms)
+        with np.errstate(over="ignore"):
+            return log_terms, log_sums, np.exp(log_sums)
+
+    @pytest.mark.parametrize("seq", [
+        LengthSequence.harmonic(c=2.0), LengthSequence.constant(0.9),
+        LengthSequence.power_decay(c=1.0, alpha=0.75, cap=0.49),
+        LengthSequence.explicit(np.linspace(0.9, 0.001, 200)),
+    ], ids=["harmonic", "overflowing", "power-decay", "explicit"])
+    def test_blocks_keep_the_bits_of_one_pass(self, monkeypatch, seq):
+        # With blocks of 7 terms, rows fall on, before and after block edges.
+        expected = self.one_pass(seq, 200)
+        checkpoints = [1, 6, 7, 8, 13, 14, 15, 99, 200]
+        monkeypatch.setattr(integrals, "_CHUNK_ELEMENTS", 7)
+        whole = criterion_partial_sums(seq, 200)
+        rows = criterion_partial_sums(seq, 200, checkpoints)
+        picks = np.array(checkpoints) - 1
+        for name, want in zip(("partial_log_terms", "log_partial_sums", "partial_sums"), expected):
+            assert getattr(whole, name).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert getattr(rows, name).view(np.uint64).tolist() == want[picks].view(np.uint64).tolist()
+
+    def test_empty_checkpoints_keep_no_row(self):
+        series = criterion_partial_sums(LengthSequence.constant(0.5), 10, [])
+        assert series.partial_log_terms.size == series.log_partial_sums.size == series.partial_sums.size == 0
+        with pytest.raises(ValueError, match="explicit list"):
+            criterion_partial_sums(LengthSequence.explicit([0.5, 0.25]), 3, [])
+
