@@ -52,7 +52,7 @@ def exact_parts(values, sizes=None) -> list[list[float]]:
     bits off the top, and a block of 65536 terms in one binade is done
     in two.  After four passes a nonzero remainder joins the parts as
     it is.  A segment with a non-finite term, or one so large that
-    2*sigma overflows, is its own parts, so ``math.fsum`` keeps its
+    sigma overflows, is its own parts, so ``math.fsum`` keeps its
     inf, nan, ValueError and OverflowError.
     """
     x = np.asarray(values, dtype=np.float64)

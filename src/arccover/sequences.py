@@ -169,7 +169,7 @@ def blocks(source, stops, size: int):
                 yield end, generate(source, end, start=first)
             else:
                 yield end, source[first:end]
-        start = max(start, stop)
+        start = stop
 
 
 def check_window(lengths: np.ndarray, eps: float) -> float:

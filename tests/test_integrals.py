@@ -333,7 +333,7 @@ class TestExactParts:
         [1.7976931348623157e308, 1.7976931348623157e308],
         [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
         [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
-        [2.0**1021, 2.0**1021],  # 2*sigma would overflow: the terms go to fsum
+        [2.0**1021, 2.0**1021],  # sigma would overflow: the terms go to fsum
         [2.0**1021 - 2.0**968, 2.0**1021 - 2.0**968],  # the largest sigma, 2**1023
         [-(2.0**1021 - 2.0**968), -(2.0**1021 - 2.0**968)],
         [2.0**1020, 2.0**1020, 2.0**1020, -1.0],
@@ -1023,4 +1023,3 @@ class TestCriterionSeries:
         assert series.partial_log_terms.size == series.log_partial_sums.size == series.partial_sums.size == 0
         with pytest.raises(ValueError, match="explicit list"):
             criterion_partial_sums(LengthSequence.explicit([0.5, 0.25]), 3, [])
-
