@@ -89,8 +89,8 @@ def exact_parts(values, sizes=None) -> list[list[float]]:
     return parts
 
 
-def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
-    """Running sums of ``values`` along ``axis``, each as if summed in twice the working precision.
+def compensated_cumsum(values, out: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
+    """Running sums of ``values`` along axis 0, each as if summed in twice the working precision.
 
     The cumulative form of Sum2 (Ogita, Rump & Oishi, "Accurate sum and
     dot product", SIAM J. Sci. Comput. 26(6), 2005): a plain float64
@@ -102,21 +102,20 @@ def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None, car
     (here, million-term length sums whose increments decay like 1/k);
     the compensated prefixes stay accurate to about an ulp.
 
-    The work runs in blocks of about _SUM2_BLOCK elements along ``axis``,
+    The work runs in blocks of about _SUM2_BLOCK elements along axis 0,
     each block starting from the plain sum and the error sum that the
     last one ended with, so the result has the bits of a single pass,
     the temporaries stay cache-sized, and ``out`` may be ``values``
-    itself.  Every step is elementwise or a cumsum along ``axis``, so each
-    line of a 2-D array gets the bits of the 1-D call on that line.
+    itself.  Every step is elementwise or a cumsum along axis 0, so each
+    column of a 2-D array gets the bits of the 1-D call on that column.
     ``carry``, a list, carries the same two sums from call to call: the
     sums start from the two it holds (from zero if it is empty), and it
     is left holding the two at the end.  So consecutive blocks of a
     series, each passed with the same list, get the bits of one call on
     the whole series.
     """
-    x = np.asarray(values, dtype=np.float64).swapaxes(0, axis)
-    result = np.empty(np.shape(values)) if out is None else out
-    p = result.swapaxes(0, axis)
+    x = np.asarray(values, dtype=np.float64)
+    result = np.empty(x.shape) if out is None else out
     total, error = carry or (np.zeros(x.shape[1:]),) * 2
     step = max(1, _SUM2_BLOCK // max(1, math.prod(x.shape[1:])))
     for start in range(0, x.shape[0], step):
@@ -130,7 +129,7 @@ def compensated_cumsum(values, axis: int = 0, out: np.ndarray | None = None, car
         err[0] += error
         np.cumsum(err, axis=0, out=err)
         total, error = sums[-1], err[-1]
-        np.add(sums[1:], err, out=p[start:start + step])
+        np.add(sums[1:], err, out=result[start:start + step])
     if carry is not None:
         carry[:] = total, error
     return result
@@ -143,10 +142,14 @@ kahan_cumsum = compensated_cumsum
 def log_sum_exp(log_terms: np.ndarray, weights: np.ndarray) -> float:
     """log(sum(weights * exp(log_terms))) for positive weights, without overflow.
 
-    Shifted by the largest term, whose weights are split off so the rest
-    enters through log1p (Blanchard, Higham & Higham, "Accurately
+    Shifted by the largest log-term, whose weights are split off, so the
+    rest enters through log1p.  Blanchard, Higham & Higham ("Accurately
     computing the log-sum-exp and softmax functions", IMA J. Numer.
-    Anal. 41(4), 2021).
+    Anal. 41(4), 2021) shift by and split off the largest *weighted* term
+    instead, so a tiny weight on the top log-term defeats this form:
+    ``product_integral([c, c/2, c/3], 0.25)`` is 17 ulps low for c = 1e-17
+    and 1e-300 and inf for c = 1e-320 (``TestMonotoneBracket``'s strict
+    xfails).  Their form moves document bytes; it waits for a golden refresh.
     """
     top = log_terms.max()
     at_top = log_terms == top

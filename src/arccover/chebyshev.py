@@ -19,9 +19,9 @@ where its breakpoints reach eps.  A shorter row is padded with eps and
 its last value, so the padded pieces have zero width and add exact
 zeros to every sum; a family with fewer functions than the batch has
 dead rows (breakpoints 0 and eps, value 1) after its own.  One draw
-(``_family_batch``) and one evaluator (``_sides``) serve the
-``inequality-check`` trials, hundreds of families at a time, and the
-library functions, each a batch of one.
+(``_family_batch``) and one evaluator (``_sides``) serve the trials of
+``inequality_trials``, _TRIAL_CHUNK families at a time, and the library
+functions, each a batch of one.
 
 The evaluator sorts each family's breakpoints once, finds a row's piece
 at a merged breakpoint by binary search in the row's ranks among them,
@@ -49,11 +49,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import MAX_NODES, exact_parts, product_rule
+from ._philox import check_seed
 
 DIRECTIONS = ("increasing", "decreasing")
 
 # Random families get values floored here; the inequality needs positive functions.
 VALUE_FLOOR = 1e-6
+# Per-trial draw ranges of inequality_trials.
+TRIAL_MAX_FUNCTIONS = 10
+TRIAL_MAX_SEGMENTS = 6
+# Trials per batch of inequality_trials: its temporaries stay a few MiB at any trial count.
+_TRIAL_CHUNK = 512
 
 
 def _check_rows(breakpoints: np.ndarray, values: np.ndarray, direction: str) -> None:
@@ -391,3 +397,28 @@ def random_monotone_family(seed: int, n: int, direction: str, segments: int) -> 
     b, v = _family_rows(seed, n, direction, segments)
     ends = 1 + np.count_nonzero(b < b[:, -1:], axis=1)  # each row ends where its breakpoints reach eps
     return [MonotonePiecewiseLinear(bi[:c], vi[:c], direction) for bi, vi, c in zip(b, v, ends.tolist())]
+
+
+def inequality_trials(seed: int, trials: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The CLI's inequality-check: each trial's n, then arrays lhs, rhs and holds (as check_inequality).
+
+    Trial after trial, ``default_rng(seed)`` draws n, the segment count,
+    the direction (increasing on 1) and a family seed below 2**63, for
+    ``random_monotone_family(family seed, n, direction, segments)``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    master = np.random.default_rng(check_seed(seed))
+    sizes, sides = [], []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        draws = []
+        for _ in range(min(_TRIAL_CHUNK, trials - start)):
+            n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
+            segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
+            increasing = bool(master.integers(2))
+            draws.append((int(master.integers(1 << 63)), n, increasing, segments))
+        seeds, ns, increasing, segments = zip(*draws)
+        sizes += ns
+        sides.append(_sides(*_family_batch(seeds, ns, increasing, segments), ns))
+    lhs, rhs = np.concatenate(sides, axis=1)
+    return sizes, lhs, rhs, _holds(lhs, rhs)

@@ -10,31 +10,31 @@ in CSV and ``null`` in JSON, booleans are ``true``/``false``, integers
 are decimal, and floats are ``"%.17g"`` (lossless round trips), which
 prints ``inf``/``-inf``/``nan`` in CSV; JSON writes ``null`` for a
 non-finite float.  No cell needs CSV quoting.  Rows are formatted in
-blocks of _BLOCK_ROWS, two ways with the same bytes:
+blocks of _BLOCK_ROWS, and each column's slice of a block has one kind
+(``_kind``): float64, int64, bool, or None for any other cells.  The two
+ways to format a block read the kinds, and give the same bytes:
 
-* A block of _KERNEL_MIN_ROWS rows or more with a float column is
-  written as bytes: every cell goes into one uint8 slot matrix, a band of
-  slot rows per column and a constant slot row per byte of the row
-  template, and the matrix is read row by row with its NUL (empty)
-  slots deleted.  Floats take an exact vectorised ``%.17g`` (a
-  double-double product with a certainty test, after Grisu3; see the
-  kernel's comment), integers a digit kernel, and any other column the
-  cell rule.  It uses IEEE basic operations only, and ``log10`` only as
-  an estimate it checks, so no choice of CPU kernels reaches its bytes;
-  a cell its test does not certify is formatted by the cell rule.
-* A shorter block converts each column's slice to Python scalars once,
-  which gives the row format its directive: ``%d`` for ints, ``%.17g``
-  for floats (in JSON only if all are finite) and ``%s`` with the cells
-  formatted by the cell rule for any other slice.
+* A block of _KERNEL_MIN_ROWS rows or more with no kind None is written
+  as bytes: every cell goes into one uint8 slot matrix, a band of slot
+  rows per column and a constant slot row per byte of the row template,
+  and the matrix is read row by row with its NUL (empty) slots deleted.
+  Floats take an exact vectorised ``%.17g`` (a double-double product
+  with a certainty test, after Grisu3; see the kernel's comment),
+  integers a digit kernel and booleans a ``true``/``false`` band.  It
+  uses IEEE basic operations only, and ``log10`` only as an estimate it
+  checks, so no choice of CPU kernels reaches its bytes; a float its
+  test does not certify is formatted by the cell rule.
+* Any other block converts each column's slice to Python scalars once,
+  and its kind gives the row format its directive: ``%d`` for ints,
+  ``%.17g`` for floats (in JSON only if all are finite) and ``%s`` with
+  the cells formatted by the cell rule for any other slice.
 
 ``main`` writes each block as it is formed, after every column is
 computed, so an invalid run still writes nothing; ``render`` and ``run``
 return the whole document.
 
-``inequality-check`` draws its trials' parameters one trial after
-another and runs the families in batches of _TRIAL_CHUNK: one bulk draw
-per family, laid out for the whole batch at once, and one stacked
-evaluation per batch (``chebyshev._family_batch`` and ``_sides``).
+Each command's runner calls the library and names the columns; the
+inequality-check protocol is ``chebyshev.inequality_trials``.
 
 Exit status: 0 success, 1 runtime error, 2 invalid configuration.
 """
@@ -50,14 +50,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import chebyshev, covering, integrals
-from ._philox import check_seed
 from .sequences import generate, parse_sequence_spec
-
-# Per-trial draw ranges of the inequality-check command.
-TRIAL_MAX_FUNCTIONS = 10
-TRIAL_MAX_SEGMENTS = 6
-# Trials per batch of inequality-check: its temporaries stay a few MiB at any --trials.
-_TRIAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,8 @@ _JSON_CELL = {
 }
 
 # Rows are formatted per block of _BLOCK_ROWS rows.  A block of at least
-# _KERNEL_MIN_ROWS rows with a float column is written as bytes
-# (_block_bytes); a shorter one by %-directives per column (_column_block).
+# _KERNEL_MIN_ROWS rows whose every column has a kind is written as bytes
+# (_block_bytes); any other by %-directives per column (_column_block).
 # Below the cutoff the kernel's fixed cost of about 100 array passes per
 # column outweighs what it saves on each cell (see CHANGES.md).
 _BLOCK_ROWS = 8192
@@ -116,24 +109,36 @@ def _cell(value, as_json: bool) -> str:
     return formats[str](str(value))
 
 
-def _column_block(chunk, as_json: bool) -> tuple[str, object]:
-    """One column's slice of a block: a %-directive and the values it formats.
+_KINDS = {float: "f", int: "i", bool: "b"}
 
-    A slice of ints takes ``%d``, and a slice of floats ``%.17g`` (in JSON
-    only if every one is finite); any other slice takes ``%s`` with its
-    cells formatted by the cell rule.
-    """
+
+def _kind(chunk) -> str | None:
+    """The kind of a block's slice of a column: "f" float64, "i" int64, "b" bool; None for any other."""
+    if isinstance(chunk, np.ndarray):
+        kind, size = chunk.dtype.kind, chunk.dtype.itemsize
+        if kind == "f" and size <= 8:
+            return "f"
+        if kind == "i" or kind == "u" and size < 8:
+            return "i"
+        return "b" if kind == "b" else None
+    types = set(map(type, chunk))
+    kind = _KINDS.get(types.pop()) if len(types) == 1 else None
+    if kind == "i" and not -(2**63) <= min(chunk) <= max(chunk) < 2**63:
+        return None
+    return kind
+
+
+def _column_block(chunk, kind: str | None, as_json: bool) -> tuple[str, object]:
+    """One column's slice of a block: its row-format directive (see the module docstring) and the values."""
     values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-    kinds = set(map(type, values))
-    if kinds == {int}:
+    if kind == "i":
         return "%d", values
-    if kinds == {float} and (not as_json or all(map(math.isfinite, values))):
+    if kind == "f" and (not as_json or all(map(math.isfinite, values))):
         return "%.17g", values
+    if kind is None:
+        return "%s", (_cell(value, as_json) for value in values)
     formats = _JSON_CELL if as_json else _CSV_CELL
-    format_cell = formats.get(kinds.pop()) if len(kinds) == 1 else None
-    if format_cell:
-        return "%s", map(format_cell, values)
-    return "%s", (_cell(value, as_json) for value in values)
+    return "%s", map(formats[float if kind == "f" else bool], values)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +168,8 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _CERTAIN = 2.0 ** -40
 _FLOAT_SLOTS = 44  # sign, "0.000", d0, then (point, digit) x 16, "e+123"
 _INT_SLOTS = 20  # sign and 19 digits
+_SLOTS = {"f": _FLOAT_SLOTS, "i": _INT_SLOTS, "b": 5}  # a bool is "true" or "false"
+_TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8)[:, None] for word in (b"true\0", b"false"))
 _MINUS, _POINT = np.uint8(ord("-")), np.uint8(ord("."))
 _LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
 _LEAD_FROM = np.arange(0, -5, -1, dtype=np.int16)[:, None]  # a lead slot is written for k <= this
@@ -261,64 +268,31 @@ def _int_slots(out: np.ndarray, v: np.ndarray) -> None:
     out[1:] = (digits + ord("0")) * written
 
 
-def _as_array(chunk):
-    """A block's slice of a column as a float64 or int64 array; None for any other cells."""
-    if not isinstance(chunk, np.ndarray):
-        kinds = set(map(type, chunk))
-        if kinds not in ({float}, {int}):
-            return None
-        try:
-            return np.array(chunk, dtype=np.float64 if kinds == {float} else np.int64)
-        except OverflowError:  # an int beyond int64
-            return None
-    if chunk.dtype.kind == "f" and chunk.dtype.itemsize <= 8:
-        return chunk.astype(np.float64, copy=False)
-    if chunk.dtype.kind in "iu" and np.can_cast(chunk.dtype, np.int64):
-        return chunk.astype(np.int64, copy=False)
-    return None
-
-
-def _cell_slots(chunk, as_json: bool):
-    """Cells by the cell rule, as a (width, rows) uint8 array; None if one is not plain ASCII."""
-    cells = [_cell(value, as_json) for value in (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)]
-    text = "".join(cells)
-    if "\0" in text or not text.isascii():
-        return None
-    return np.array(cells, dtype="S").view(np.uint8).reshape(len(cells), -1).T
-
-
-def _block_bytes(chunks, literals, as_json: bool, count: int) -> str | None:
+def _block_bytes(chunks, kinds, literals, as_json: bool, count: int) -> str:
     """One block's rows, each followed by the row separator, from one uint8 slot matrix.
 
+    Each column's slice has a kind (``_kind``), none of them None.
     ``literals`` are the row template's constant parts, one before each
-    column and one after the last.  Returns None if the block has no
-    float column or a cell that is not plain ASCII.
+    column and one after the last.
     """
-    parts = []
-    for chunk in chunks:
-        array = _as_array(chunk)
-        parts.append(_cell_slots(chunk, as_json) if array is None else array)
-    if any(part is None for part in parts) or not any(part.dtype.kind == "f" for part in parts):
-        return None
-    widths = [{"f": _FLOAT_SLOTS, "i": _INT_SLOTS}.get(part.dtype.kind, len(part)) for part in parts]
+    widths = [_SLOTS[kind] for kind in kinds]
     matrix = np.empty((sum(widths) + sum(map(len, literals)), count), dtype=np.uint8)
     row = 0
-    for literal, values, width in zip(literals, parts + [None], widths + [0]):
+    for literal, chunk, kind, width in zip(literals, chunks + [None], kinds + [None], widths + [0]):
         matrix[row:row + len(literal)] = np.frombuffer(literal, dtype=np.uint8)[:, None]
         row += len(literal)
         out = matrix[row:row + width]
         row += width
-        if values is None:
-            break
-        if values.dtype.kind == "f":
+        if kind == "f":
+            values = np.asarray(chunk, dtype=np.float64)
             for i in _float_slots(out, values):
                 text = _cell(float(values[i]), as_json).encode()
                 out[:, i] = 0
                 out[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
-        elif values.dtype.kind == "i":
-            _int_slots(out, values)
-        else:
-            out[:] = values
+        elif kind == "i":
+            _int_slots(out, np.asarray(chunk, dtype=np.int64))
+        elif kind == "b":
+            out[:] = np.where(np.asarray(chunk, dtype=bool), _TRUE, _FALSE)
     # Slot rows empty in every row of the block (a sign, lead or exponent no
     # cell needs) are dropped before the transpose, which costs per slot.
     matrix = matrix[matrix.any(axis=1)]
@@ -377,10 +351,12 @@ def _pieces(config: RunConfig, columns: dict, count: int):
     literals = [literal.encode() for literal in literals]
     for start in range(0, count, _BLOCK_ROWS):
         chunks = [column[start:start + _BLOCK_ROWS] for column in columns.values()]
+        kinds = [_kind(chunk) for chunk in chunks]
         rows = min(_BLOCK_ROWS, count - start)
-        text = _block_bytes(chunks, literals, as_json, rows) if rows >= _KERNEL_MIN_ROWS else None
-        if text is None:
-            directives, cells = zip(*(_column_block(chunk, as_json) for chunk in chunks))
+        if rows >= _KERNEL_MIN_ROWS and None not in kinds:
+            text = _block_bytes(chunks, kinds, literals, as_json, rows)
+        else:
+            directives, cells = zip(*(_column_block(chunk, kind, as_json) for chunk, kind in zip(chunks, kinds)))
             # One row's layout, with each column's directive for this block.
             fmt = "".join(map(str.__add__, escaped, directives + ("",)))
             text = "".join(map(fmt.__mod__, zip(*cells)))
@@ -464,26 +440,14 @@ def _run_criterion(config: RunConfig) -> dict:
 
 
 def _run_inequality_check(config: RunConfig) -> dict:
-    master = np.random.default_rng(check_seed(config.seed))
-    sizes, sides = [], []
-    for start in range(0, config.trials, _TRIAL_CHUNK):
-        trials = []
-        for _ in range(min(_TRIAL_CHUNK, config.trials - start)):
-            n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
-            segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
-            increasing = bool(master.integers(2))
-            trials.append((int(master.integers(1 << 63)), n, increasing, segments))
-        seeds, ns, increasing, segments = zip(*trials)
-        sizes += ns
-        sides.append(chebyshev._sides(*chebyshev._family_batch(seeds, ns, increasing, segments), ns))
-    lhs, rhs = np.concatenate(sides, axis=1)
+    sizes, lhs, rhs, holds = chebyshev.inequality_trials(config.seed, config.trials)
     return {
         "trial": range(config.trials),
         "n": sizes,
         "lhs": lhs,
         "rhs": rhs,
         "margin": lhs - rhs,
-        "holds": chebyshev._holds(lhs, rhs),
+        "holds": holds,
     }
 
 
@@ -598,8 +562,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"n must be nonnegative, got {config.n}")
     if config.reps is not None and config.reps < 1:
         raise ValueError(f"reps must be >= 1, got {config.reps}")
-    if config.trials is not None and config.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {config.trials}")
     if config.quadrature_cap < 0:
         raise ValueError(f"quadrature cap must be nonnegative, got {config.quadrature_cap}")
     return config

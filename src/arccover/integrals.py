@@ -305,7 +305,7 @@ class _LogIntegrand:
         for p in range(1, _ORDER + 1):
             np.divide(power, p, out=terms[1:, :, p])
             power *= ratio
-        return compensated_cumsum(terms, axis=0, out=terms)
+        return compensated_cumsum(terms, out=terms)
 
 
 def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = None) -> QuadratureResult:

@@ -16,10 +16,11 @@ Last come the documents of the byte kernel in ``arccover.cli``: a
 ``kernel_columns()`` of ``test_cli``, a table of every cell class
 (floats at the %g layout's edges, ties, zeros, subnormals, non-finite
 values, ints near 2**63, booleans and None), through ``cli.render`` in
-CSV and in JSON.  Last of all, the integer word ranges with which
-``covering._miss_words`` decides ``pair_uncovered_mc``, one line per
-(lengths, t) case of ``test_covering.pair_cases``, every kind
-(adversarial included).  Then the long series at their real block
+CSV and in JSON, then ``typed_columns()``, the same table without its
+None column, whose block the kernel writes.  Last of all, the integer
+word ranges with which ``covering._miss_words`` decides
+``pair_uncovered_mc``, one line per (lengths, t) case of
+``test_covering.pair_cases``, every kind (adversarial included).  Then the long series at their real block
 edges (``integrals._CHUNK_ELEMENTS`` = 65536 terms): a ``divergence``
 certificate with checkpoints on, before and after the first two edges,
 a ``criterion`` with checkpoints out of order around them, and a full
@@ -55,7 +56,7 @@ TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
 sys.path.insert(0, str(TESTS.parent / "bench"))
 from conftest import shepp_factor_polyline  # noqa: E402
-from test_cli import GOLDEN_CASES, kernel_columns  # noqa: E402
+from test_cli import GOLDEN_CASES, kernel_columns, typed_columns  # noqa: E402
 from test_covering import PAIR_KINDS, pair_cases  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
 
@@ -142,8 +143,9 @@ def documents():
     yield "inequality/shepp-1000/product-integral-pl", shepp_document()
     yield "inequality/mixed-batch/sides", mixed_batch_document()
     yield "render/criterion-100000.json", document(CRITERION_JSON)
-    for fmt in ("csv", "json"):
-        yield f"render/kernel-columns.{fmt}", render(RunConfig(command="criterion", format=fmt), kernel_columns())
+    for name, table in (("kernel-columns", kernel_columns()), ("typed-columns", typed_columns())):
+        for fmt in ("csv", "json"):
+            yield f"render/{name}.{fmt}", render(RunConfig(command="criterion", format=fmt), table)
     for kind in PAIR_KINDS:
         yield f"pair-probe/miss-words/{kind}", miss_words_document(kind)
     for name, argv in BLOCK_EDGES.items():

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover import _accum, cli, integrals
+from arccover import _accum, chebyshev, cli, integrals
 from arccover.chebyshev import random_monotone_family
-from arccover.cli import TRIAL_MAX_FUNCTIONS, TRIAL_MAX_SEGMENTS, RunConfig, _cell, main, render
+from arccover.cli import RunConfig, _cell, main, render
 from arccover.sequences import generate, parse_sequence_spec
 
 from conftest import mp_log_product_integral, subprocess_env
@@ -268,8 +268,8 @@ def replay_families(trials: int, seed: int):
     """The families inequality-check draws: its master draws, then random_monotone_family."""
     master = np.random.default_rng(seed)
     for _ in range(trials):
-        n = int(master.integers(1, TRIAL_MAX_FUNCTIONS + 1))
-        segments = int(master.integers(1, TRIAL_MAX_SEGMENTS + 1))
+        n = int(master.integers(1, chebyshev.TRIAL_MAX_FUNCTIONS + 1))
+        segments = int(master.integers(1, chebyshev.TRIAL_MAX_SEGMENTS + 1))
         direction = "increasing" if master.integers(2) else "decreasing"
         yield random_monotone_family(int(master.integers(1 << 63)), n, direction, segments)
 
@@ -518,6 +518,13 @@ def kernel_columns() -> dict:
     }
 
 
+def typed_columns() -> dict:
+    """kernel_columns() without its None column: every cell class of the kernel's own bands."""
+    columns = kernel_columns()
+    del columns["maybe"]
+    return columns
+
+
 class TestByteKernel:
     """The byte kernel against the scalar cell rule, with the cutoff at 1 row."""
 
@@ -525,14 +532,26 @@ class TestByteKernel:
     def every_block_takes_the_kernel(self, monkeypatch):
         monkeypatch.setattr(cli, "_KERNEL_MIN_ROWS", 1)
 
+    @pytest.fixture
+    def kernel_blocks(self, monkeypatch) -> list:
+        """The row count of each block the byte kernel writes."""
+        blocks, kernel = [], cli._block_bytes
+        monkeypatch.setattr(cli, "_block_bytes", lambda *args: blocks.append(args[-1]) or kernel(*args))
+        return blocks
+
     @staticmethod
     def assert_cell_rule(columns: dict):
         for fmt in ("csv", "json"):
             document = render(RunConfig(command="criterion", format=fmt), columns)
             assert document.endswith(rows_by_cell_rule(columns, fmt == "json")), fmt
 
-    def test_every_cell_class(self):
+    def test_every_cell_class(self, kernel_blocks):
+        self.assert_cell_rule(typed_columns())
+        assert kernel_blocks == [KERNEL_FLOATS.size] * 2
+
+    def test_a_none_column_goes_by_rows(self, kernel_blocks):
         self.assert_cell_rule(kernel_columns())
+        assert kernel_blocks == []
 
     @pytest.mark.parametrize("value", HAND_FLOATS)
     def test_each_hand_float_alone(self, value):
@@ -580,20 +599,25 @@ class TestByteKernel:
                 assert cli._float_slots(out, column).size <= column.size // 10_000, name
 
 
-# Renders kernel_columns() through the byte kernel and by rows, in both
+# Renders typed_columns() through the byte kernel and by rows, in both
 # formats, and prints whether they agree; argv[1] is the tests directory.
 KERNEL_AGREES = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from arccover import cli
-from test_cli import kernel_columns
-columns = kernel_columns()
+from test_cli import typed_columns
+columns = typed_columns()
+blocks, kernel = [], cli._block_bytes
+cli._block_bytes = lambda *args: blocks.append(args[-1]) or kernel(*args)
 for fmt in ("csv", "json"):
     config = cli.RunConfig(command="criterion", format=fmt)
     cli._KERNEL_MIN_ROWS = 1
     by_kernel = cli.render(config, columns)
+    assert blocks, fmt
+    blocks.clear()
     cli._KERNEL_MIN_ROWS = 10**9
     assert by_kernel == cli.render(config, columns), fmt
+    assert not blocks, fmt
 print("agree")
 """
 
@@ -614,11 +638,11 @@ def test_byte_kernel_under_other_cpu_kernels(switch, tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("trials", [6, 7, 8])
 def test_inequality_chunks_keep_the_bytes(trials, fmt, monkeypatch, capsys):
-    # Trials run in chunks of cli._TRIAL_CHUNK; 6, 7 and 8 trials in chunks
-    # of 7 give the bytes of one whole chunk.
+    # Trials run in chunks of chebyshev._TRIAL_CHUNK; 6, 7 and 8 trials in
+    # chunks of 7 give the bytes of one whole chunk.
     argv = ["inequality-check", "--trials", str(trials), "--seed", "3", "--format", fmt]
     whole = run_cli(argv, capsys)
-    monkeypatch.setattr(cli, "_TRIAL_CHUNK", 7)
+    monkeypatch.setattr(chebyshev, "_TRIAL_CHUNK", 7)
     assert run_cli(argv, capsys) == whole
 
 
