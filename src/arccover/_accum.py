@@ -1,4 +1,8 @@
-"""Compensated sums (Sum2 prefixes, log-sum-exp), the decimal-built Gauss-Legendre rule, and the product rule."""
+"""Compensated sums (Sum2 prefixes, log-sum-exp), the Gauss-Legendre rule, and the product rule.
+
+Gauss-Legendre rules of up to MAX_NODES points are constants taken from
+the decimal builder, which makes every larger rule.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +12,12 @@ import math
 
 import numpy as np
 
-# gauss_legendre runs Newton's method in decimal at 40 significant digits
-# and stops once a step falls below _GL_TOLERANCE, far below float64's
-# resolution, so rounding to float64 is the only error that shows.
+# _build_gauss_legendre runs Newton's method in decimal at 40 significant
+# digits and stops once a step falls below _GL_TOLERANCE, far below
+# float64's resolution, so rounding to float64 is the only error that
+# shows.  It makes the orders above MAX_NODES, which only an explicit
+# nodes_per_segment or product_rule(nodes=) asks for; _GL_HALVES holds
+# its output for the orders up to MAX_NODES.
 _GL_CONTEXT = decimal.Context(prec=40)
 _GL_TOLERANCE = decimal.Decimal("1e-30")
 
@@ -166,9 +173,23 @@ def _legendre_pair(n: int, x: decimal.Decimal) -> tuple[decimal.Decimal, decimal
     return cur, prev
 
 
+def _mirrored(order: int, x_half, w_half) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``order``-point rule from its nonnegative nodes, largest first, and their weights.
+
+    The negative half mirrors the positive half exactly.
+    """
+    half = order // 2
+    x, w = np.array(x_half), np.array(w_half)
+    nodes = np.concatenate((-x[:half], x[::-1]))
+    weights = np.concatenate((w[:half], w[::-1]))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 @functools.lru_cache(maxsize=None)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], cached per order.
+def _build_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built and cached per order.
 
     Built in the standard library's software decimal arithmetic, so the
     rule depends neither on the numpy release nor on the platform's
@@ -178,8 +199,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     is P_n*(1 - x**2)/N and the weight is 2*(1 - x**2)/N**2, taken at
     the last iterate, less than 1e-30 from the node.  Each node
     and weight is rounded to float64 once, which makes them correctly
-    rounded at every order the tests check against a 50-digit rule; the
-    negative half mirrors the positive half exactly.
+    rounded at every order the tests check against a 50-digit rule.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
@@ -202,13 +222,55 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
                 x -= step
             x_half.append(float(x))
             w_half.append(float(2 * one_minus_sq / (big_n * big_n)))
-    x, w = np.array(x_half), np.array(w_half)
+    return _mirrored(n, x_half, w_half)
 
-    nodes = np.concatenate((-x[:half], x[::-1]))
-    weights = np.concatenate((w[:half], w[::-1]))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+
+# _build_gauss_legendre's rules of orders 1..MAX_NODES: per order, the
+# nonnegative nodes, largest first, and their weights.  repr of a float
+# reads back to the same bits, so these literals are exactly its output;
+# a test compares every rule with it bit for bit.
+_GL_HALVES = (
+    ((0.0,),
+     (2.0,)),
+    ((0.5773502691896257,),
+     (1.0,)),
+    ((0.7745966692414834, 0.0),
+     (0.5555555555555556, 0.8888888888888888)),
+    ((0.8611363115940526, 0.33998104358485626),
+     (0.34785484513745385, 0.6521451548625461)),
+    ((0.906179845938664, 0.5384693101056831, 0.0),
+     (0.23692688505618908, 0.47862867049936647, 0.5688888888888889)),
+    ((0.932469514203152, 0.6612093864662645, 0.2386191860831969),
+     (0.17132449237917036, 0.3607615730481386, 0.46791393457269104)),
+    ((0.9491079123427585, 0.7415311855993945, 0.4058451513773972, 0.0),
+     (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)),
+    ((0.9602898564975363, 0.7966664774136267, 0.525532409916329, 0.1834346424956498),
+     (0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362)),
+    ((0.9681602395076261, 0.8360311073266358, 0.6133714327005904, 0.3242534234038089, 0.0),
+     (0.08127438836157441, 0.1806481606948574, 0.26061069640293544, 0.31234707704000286, 0.3302393550012598)),
+    ((0.9739065285171717, 0.8650633666889845, 0.6794095682990244, 0.4333953941292472, 0.14887433898163122),
+     (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635, 0.29552422471475287)),
+    ((0.978228658146057, 0.8870625997680953, 0.7301520055740494, 0.5190961292068118, 0.26954315595234496, 0.0),
+     (0.05566856711617366, 0.1255803694649046, 0.18629021092773426, 0.23319376459199048, 0.26280454451024665,
+      0.2729250867779006)),
+    ((0.9815606342467192, 0.9041172563704749, 0.7699026741943047, 0.5873179542866175, 0.3678314989981802,
+      0.1252334085114689),
+     (0.04717533638651183, 0.10693932599531843, 0.16007832854334622, 0.20316742672306592, 0.2334925365383548,
+      0.24914704581340277)),
+)
+_GL_RULES = {order: _mirrored(order, *halves) for order, halves in enumerate(_GL_HALVES, start=1)}
+
+
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: the same read-only arrays on every call.
+
+    Orders 1..MAX_NODES come from the table, every bit as
+    _build_gauss_legendre makes them; a larger order is built once and
+    cached.  Each node and weight is correctly rounded at every order
+    the tests check against a 50-digit rule.
+    """
+    rule = _GL_RULES.get(order)
+    return rule if rule is not None else _build_gauss_legendre(order)
 
 
 def segmented_gauss_legendre(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:

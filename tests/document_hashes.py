@@ -11,25 +11,27 @@ functions, whose segments the product rule cuts into log-drop pieces:
 for n in ``LARGE_FAMILIES``, both directions, at each seed; the
 ``product_integral_pl`` of 1000 Shepp factor polylines; and one stacked
 ``chebyshev._sides`` batch of families of ``MIXED_BATCH`` functions.
-Last come the documents of the byte kernel in ``arccover.cli``: a
+Then come the documents of the byte kernel in ``arccover.cli``: a
 10**5-row ``criterion`` in JSON (the benchmark's is CSV), and
 ``kernel_columns()`` of ``test_cli``, a table of every cell class
 (floats at the %g layout's edges, ties, zeros, subnormals, non-finite
 values, ints near 2**63, booleans and None), through ``cli.render`` in
 CSV and in JSON, then ``typed_columns()``, the same table without its
-None column, whose block the kernel writes.  Last of all, the integer
-word ranges with which ``covering._miss_words`` decides
-``pair_uncovered_mc``, one line per (lengths, t) case of
-``test_covering.pair_cases``, every kind (adversarial included).  Then the long series at their real block
+None column, whose block the kernel writes.  Then the integer word
+ranges with which ``covering._miss_words`` decides ``pair_uncovered_mc``,
+one line per (lengths, t) case of ``test_covering.pair_cases``, every
+kind (adversarial included).  Then the long series at their real block
 edges (``integrals._CHUNK_ELEMENTS`` = 65536 terms): a ``divergence``
 certificate with checkpoints on, before and after the first two edges,
 a ``criterion`` with checkpoints out of order around them, and a full
-``criterion`` of 131073 rows in CSV.  A CLI operation's document is its standard output; a
-``gap_measure_samples`` document is its samples, one ``repr`` a line,
-as ``bench/worker.py`` renders them; an inequality document is its
-results, one ``float.hex`` each.  A change
-that must not move any byte runs this before and after, and diffs the
-two outputs:
+``criterion`` of 131073 rows in CSV.  Last, the Gauss-Legendre rule of
+each order 1..``MAX_NODES + 1``: every tabled order and the first order
+the decimal builder makes.  A CLI operation's document is its standard
+output; a ``gap_measure_samples`` document is its samples, one ``repr``
+a line, as ``bench/worker.py`` renders them; an inequality document is
+its results, one ``float.hex`` each, and a rule document is its nodes,
+then its weights, the same way.  A change that must not move any byte
+runs this before and after, and diffs the two outputs:
 
     PYTHONPATH=src python tests/document_hashes.py > before.txt
     (apply the change)
@@ -48,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from arccover import chebyshev
+from arccover._accum import MAX_NODES, gauss_legendre
 from arccover.cli import RunConfig, main, render
 from arccover.covering import _miss_words, gap_measure_samples
 from arccover.sequences import LengthSequence, generate
@@ -150,6 +153,8 @@ def documents():
         yield f"pair-probe/miss-words/{kind}", miss_words_document(kind)
     for name, argv in BLOCK_EDGES.items():
         yield f"block-edges/{name}", document(argv)
+    for order in range(1, MAX_NODES + 2):
+        yield f"gauss-legendre/order{order}", hex_document(np.concatenate(gauss_legendre(order)))
 
 
 if __name__ == "__main__":

@@ -81,6 +81,26 @@ def test_golden_commands_build_no_rule_above_the_cap(rule_orders, capsys):
     assert rule_orders and max(rule_orders) <= _accum.MAX_NODES
 
 
+def test_commands_take_every_rule_from_the_table(rule_orders, monkeypatch, capsys):
+    """No golden and no smoke-size benchmark command runs the decimal Newton builder."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import workloads
+
+    built = []
+    build = _accum._build_gauss_legendre
+
+    def spy(order):
+        built.append(order)
+        return build(order)
+
+    monkeypatch.setattr(_accum, "_build_gauss_legendre", spy)
+    bench_ops = [op.argv for workload in workloads.WORKLOADS
+                 for op in workloads.build(workload, 1, smoke=True) if op.argv is not None]
+    for argv in [*GOLDEN_CASES.values(), *bench_ops]:
+        run_cli(list(argv), capsys)
+    assert rule_orders and built == []
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys):
     def no_parser():
         raise AssertionError("main must not build a parser per call")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arccover import integrals
+from arccover import _accum, integrals
 from arccover._accum import MAX_NODES, compensated_cumsum, exact_parts, gauss_legendre, log_sum_exp, product_rule
 from arccover.cli import main
 from arccover.integrals import (
@@ -162,12 +162,24 @@ class TestGaussLegendre:
         assert np.array_equal(w, w[::-1])
         assert abs(math.fsum(w.tolist()) - 2.0) <= 4 * np.spacing(2.0)
 
+    def test_tabled_rules_are_the_built_rules(self):
+        # Needs no mpmath: the table holds the decimal builder's bits.
+        assert sorted(_accum._GL_RULES) == list(range(1, MAX_NODES + 1))
+        for order in range(1, MAX_NODES + 1):
+            tabled = gauss_legendre(order)
+            assert tabled is _accum._GL_RULES[order]
+            built = _accum._build_gauss_legendre.__wrapped__(order)
+            for a, b in zip(tabled, built):
+                assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
     def test_contract(self):
-        x, w = gauss_legendre(7)
-        assert gauss_legendre(7)[0] is x
-        assert not x.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            gauss_legendre(0)
+        for order in (7, 13):  # tabled, built
+            x, w = gauss_legendre(order)
+            assert gauss_legendre(order)[0] is x and gauss_legendre(order)[1] is w
+            assert not x.flags.writeable and not w.flags.writeable
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                gauss_legendre(order)
 
 
 class TestLogSumExp:
