@@ -25,12 +25,8 @@ from .chebyshev import (
     two_function_correlation,
 )
 from .covering import (
-    Arc,
-    GapSet,
     SimulationResult,
-    apply_arc,
     coverage_probability,
-    first_cover_given,
     first_cover_index,
     gap_measure_samples,
     pair_uncovered_exact,
@@ -64,11 +60,9 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "CriterionSeries",
     "DivergenceRow",
     "EpsilonWindow",
-    "GapSet",
     "GrowthDerivatives",
     "InequalityCheck",
     "LengthSequence",
@@ -76,14 +70,12 @@ __all__ = [
     "MonotonePiecewiseLinear",
     "QuadratureResult",
     "SimulationResult",
-    "apply_arc",
-    "check_inequality",
     "chebyshev_lower_bound",
+    "check_inequality",
     "coverage_probability",
     "criterion_partial_sums",
     "divergence_table",
     "epsilon_window",
-    "first_cover_given",
     "first_cover_index",
     "gap_measure_samples",
     "generate",

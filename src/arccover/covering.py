@@ -4,16 +4,13 @@ Arcs are half-open: an arc at position u with length l covers x iff
 (x - u) mod 1 < l.  Ties therefore have measure zero and every coverage
 decision is deterministic.
 
-Two models of the uncovered set give the same coverage decisions:
-
-* the incremental one keeps a sorted list of disjoint half-open gaps
-  inside [0, 1) (a gap crossing zero is stored as two pieces) and
-  subtracts one arc at a time (``apply_arc``, ``first_cover_index``);
-* the batched one sorts each replication's arc starts and arc ends
-  apart and sums the gaps between the k-th end and the (k+1)-th start
-  (``coverage_probability``, ``gap_measure_samples``).  It sweeps
-  prefixes of growing length and drops a replication as soon as a
-  prefix covers the circle.
+One model of the uncovered set answers every coverage question: it
+sorts each replication's arc starts and arc ends apart and sums the
+gaps between the k-th end and the (k+1)-th start (``_uncovered_measure``,
+the one-dimensional case of Klee's measure problem).
+``coverage_probability`` and ``gap_measure_samples`` sweep prefixes of
+growing length and drop a replication as soon as a prefix covers the
+circle; ``first_cover_index`` bisects on the prefix length.
 
 Reproducibility contract: replication r with master seed s draws its
 centres from ``Philox(SeedSequence(entropy=s, spawn_key=(r,)))``, so
@@ -35,50 +32,6 @@ import numpy as np
 
 from ._philox import check_seed, uniforms
 from .sequences import LengthSequence, generate
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Half-open arc [center, center + length) mod 1."""
-
-    center: float
-    length: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.center < 1.0:
-            raise ValueError(f"center must lie in [0, 1), got {self.center}")
-        if not 0.0 < self.length < 1.0:
-            raise ValueError(f"length must lie in (0, 1), got {self.length}")
-
-    def covers(self, x: float) -> bool:
-        return (x - self.center) % 1.0 < self.length
-
-
-@dataclass(frozen=True)
-class GapSet:
-    """The uncovered subset of the circle as sorted disjoint half-open intervals."""
-
-    gaps: tuple[tuple[float, float], ...]
-    total_gap: float
-
-    def __post_init__(self) -> None:
-        prev_end = 0.0
-        for start, end in self.gaps:
-            if not (0.0 <= start < end <= 1.0):
-                raise ValueError(f"gap ({start}, {end}) is not a half-open interval inside [0, 1]")
-            if start < prev_end:
-                raise ValueError("gaps must be sorted and pairwise disjoint")
-            prev_end = end
-        if not 0.0 <= self.total_gap <= 1.0 + 1e-12:
-            raise ValueError(f"total_gap out of range: {self.total_gap}")
-
-    @classmethod
-    def full_circle(cls) -> "GapSet":
-        return cls(gaps=((0.0, 1.0),), total_gap=1.0)
-
-    @property
-    def covered(self) -> bool:
-        return not self.gaps
 
 
 @dataclass(frozen=True)
@@ -106,88 +59,7 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# interval bookkeeping (internal fast path works on plain lists)
-
-def _subtract(gaps: list[tuple[float, float]], a: float, b: float) -> float:
-    """Remove [a, b) from a sorted disjoint gap list; return the removed measure."""
-    if b <= a:
-        return 0.0
-    i = bisect.bisect_left(gaps, (a,))
-    if i > 0 and gaps[i - 1][1] > a:
-        i -= 1
-    j = i
-    removed = 0.0
-    replacement: list[tuple[float, float]] = []
-    # Every gap visited overlaps [a, b): it starts below b and, by the bisect, ends above a.
-    while j < len(gaps) and gaps[j][0] < b:
-        start, end = gaps[j]
-        lo = a if start < a else start
-        hi = b if end > b else end
-        removed += hi - lo
-        if start < a:
-            replacement.append((start, a))
-        if end > b:
-            replacement.append((b, end))
-        j += 1
-    gaps[i:j] = replacement
-    return removed
-
-
-def _arc_pieces(center: float, length: float) -> tuple[tuple[float, float], ...]:
-    hi = center + length
-    if hi <= 1.0:
-        return ((center, hi),)
-    return ((center, 1.0), (0.0, hi - 1.0))
-
-
-def apply_arc(state: GapSet, arc: Arc) -> GapSet:
-    """Set-difference of the gaps and the arc, with incremental measure bookkeeping.
-
-    total_gap decreases by exactly the overlap measure; once the gap
-    list empties it is pinned to 0 so roundoff cannot leave a phantom
-    residue.  Applying the same arc twice equals applying it once.
-    """
-    work = list(state.gaps)
-    removed = 0.0
-    for a, b in _arc_pieces(arc.center, arc.length):
-        removed += _subtract(work, a, b)
-    total = 0.0 if not work else state.total_gap - removed
-    return GapSet(gaps=tuple(work), total_gap=total)
-
-
-def _first_cover(lengths, centers) -> int | None:
-    gaps: list[tuple[float, float]] = [(0.0, 1.0)]
-    for i in range(len(lengths)):
-        for a, b in _arc_pieces(centers[i], lengths[i]):
-            _subtract(gaps, a, b)
-        if not gaps:
-            return i + 1
-    return None
-
-
-def first_cover_given(arcs) -> int | None:
-    """Index (1-based) of the first arc in ``arcs`` that completes coverage, if any."""
-    arcs = list(arcs)
-    return _first_cover([a.length for a in arcs], [a.center for a in arcs])
-
-
-def first_cover_index(seq: LengthSequence, seed: int, n_max: int) -> int | None:
-    """First-cover toss count for one replication, or None within n_max tosses.
-
-    Deterministic in (seq, seed, n_max); the centers come from
-    replication 0's Philox stream, drawn up front so the answer for a
-    smaller n_max is always a prefix-consistent truncation.
-    """
-    seed = check_seed(seed)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    lengths = generate(seq, n_max)
-    centers = uniforms(seed, [0], 0, n_max)[0]
-    return _first_cover(lengths.tolist(), centers.tolist())
-
-
-# ---------------------------------------------------------------------------
-# sort-and-sweep over many replications
+# sort-and-sweep: the uncovered measure from sorted starts and ends
 
 # Pieces (replications x arcs) held at once; bounds the sweep's arrays
 # to a few MiB each (the stream kernel works in smaller tiles of its own).
@@ -206,8 +78,8 @@ def _uncovered_measure(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     Row i's arcs ``[u, u + l)`` enter as their starts u and ends u + l,
     each row sorted ascending on its own, so that S_k and E_k are the
     k-th smallest start and end of m (neither array is written).  Each
-    arc is the pieces of ``_arc_pieces``: ``[u, min(u+l, 1))`` and, on
-    wrap, ``[0, u+l-1)``.  All wrapped pieces start at 0, so they join
+    arc is the pieces ``[u, min(u+l, 1))`` and, on wrap,
+    ``[0, u+l-1)``.  All wrapped pieces start at 0, so they join
     into one ``[0, reach0)`` with ``reach0 = max(E_m - 1, 0)`` (exact, as
     ``u+l`` lies in [1, 2)).  Taken by start, the (k+1)-th arc leaves the
     gap ``[R_k, S_{k+1})`` past the running maximum R_k of the ends
@@ -219,7 +91,8 @@ def _uncovered_measure(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     start.  Ends are not clipped to 1: past 1 no start (all < 1) can
     leave a gap.
     Only comparisons decide whether a gap is empty, so the covered flag
-    is the gap list's flag; a positive gap makes the sum positive.
+    is that of cutting the pieces out of [0, 1) one by one; a positive
+    gap makes the sum positive.
     """
     reach0 = np.maximum(ends[:, -1] - 1.0, 0.0)
     terms = np.maximum(ends[:, :-1], reach0[:, None])
@@ -273,6 +146,22 @@ def _sweep(lengths: np.ndarray, reps: int, seed: int) -> np.ndarray:
     return out
 
 
+def _first_cover_count(centres: np.ndarray, lengths: np.ndarray) -> int | None:
+    """The least k whose first k arcs cover the circle, or None if no prefix covers it.
+
+    Arcs only remove gaps, so whether the first k arcs cover is monotone
+    in k: a bisection on k finds the first cover in O(log n) sorts of a
+    prefix's starts and ends.
+    """
+    ends = centres + lengths
+
+    def covers(k: int) -> bool:
+        return _uncovered_measure(np.sort(centres[None, :k]), np.sort(ends[None, :k]))[0] == 0.0
+
+    k = bisect.bisect_left(range(1, centres.size + 1), True, key=covers)
+    return k + 1 if k < centres.size else None
+
+
 # Replication r draws from spawn key (r,), one 32-bit entropy word.
 _MAX_REPS = 1 << 32
 
@@ -286,7 +175,7 @@ def _check_run_args(n: int, reps: int, seed: int) -> int:
 
 
 def coverage_probability(seq: LengthSequence, n: int, reps: int, seed: int) -> SimulationResult:
-    """Fraction of replications whose gap set is empty after n arcs.
+    """Fraction of replications whose n arcs cover the circle.
 
     Each replication owns its RNG substream and contributes one flag to
     a count, so the result does not depend on the order of replications.
@@ -305,6 +194,21 @@ def gap_measure_samples(seq: LengthSequence, n: int, reps: int, seed: int) -> np
     """
     seed = _check_run_args(n, reps, seed)
     return _sweep(generate(seq, n), reps, seed)
+
+
+def first_cover_index(seq: LengthSequence, seed: int, n_max: int) -> int | None:
+    """First-cover toss count for one replication, or None within n_max tosses.
+
+    Deterministic in (seq, seed, n_max); the centers come from
+    replication 0's Philox stream, drawn up front so the answer for a
+    smaller n_max is always a prefix-consistent truncation.
+    """
+    seed = check_seed(seed)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    lengths = generate(seq, n_max)
+    centers = uniforms(seed, [0], 0, n_max)[0]
+    return _first_cover_count(centers, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +294,7 @@ def pair_uncovered_mc(lengths, t: float, reps: int, seed: int) -> SimulationResu
     """Monte Carlo frequency of {0 uncovered and t uncovered} after all arcs.
 
     Vectorized over replications from a single counter-based Philox
-    stream (there is no parallel execution to split across);
-    deterministic in seed.  Row r of the stream's words holds the arcs
+    stream; deterministic in seed.  Row r of the stream's words holds the arcs
     of replication r, as ``Generator.random`` would give them as
     centres.  Arc l at centre u misses both points iff u > 0, the float
     ``1 - u >= l``, and the float distance ``t - u`` (plus 1 where it is

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import tracemalloc
@@ -12,17 +13,10 @@ from arccover import covering
 from arccover._accum import segmented_gauss_legendre
 from arccover._philox import uniforms
 from arccover.covering import (
-    Arc,
-    GapSet,
     _check_run_args,
-    _first_cover,
     _miss_words,
-    _subtract,
-    _arc_pieces,
     _uncovered_measure,
-    apply_arc,
     coverage_probability,
-    first_cover_given,
     first_cover_index,
     gap_measure_samples,
     pair_uncovered_exact,
@@ -33,95 +27,146 @@ from arccover.sequences import LengthSequence, generate
 
 from conftest import uncovered_fraction_grid
 
+# The gap list: the sweep's independent reference.  It keeps the uncovered
+# set as a sorted list of disjoint half-open gaps inside [0, 1) and cuts
+# the arcs out one at a time.
 
-def assert_structure(state: GapSet):
+
+def _subtract(gaps: list[tuple[float, float]], a: float, b: float) -> float:
+    """Remove [a, b) from a sorted disjoint gap list; return the removed measure."""
+    if b <= a:
+        return 0.0
+    i = bisect.bisect_left(gaps, (a,))
+    if i > 0 and gaps[i - 1][1] > a:
+        i -= 1
+    j = i
+    removed = 0.0
+    replacement: list[tuple[float, float]] = []
+    # Every gap visited overlaps [a, b): it starts below b and, by the bisect, ends above a.
+    while j < len(gaps) and gaps[j][0] < b:
+        start, end = gaps[j]
+        lo = a if start < a else start
+        hi = b if end > b else end
+        removed += hi - lo
+        if start < a:
+            replacement.append((start, a))
+        if end > b:
+            replacement.append((b, end))
+        j += 1
+    gaps[i:j] = replacement
+    return removed
+
+
+def _arc_pieces(center: float, length: float) -> tuple[tuple[float, float], ...]:
+    hi = center + length
+    if hi <= 1.0:
+        return ((center, hi),)
+    return ((center, 1.0), (0.0, hi - 1.0))
+
+
+def apply_arc(gaps: list[tuple[float, float]], center: float, length: float) -> float:
+    """Cut arc [center, center + length) mod 1 out of ``gaps``; return the removed measure."""
+    return sum(_subtract(gaps, a, b) for a, b in _arc_pieces(center, length))
+
+
+def _first_cover(lengths, centers) -> int | None:
+    gaps: list[tuple[float, float]] = [(0.0, 1.0)]
+    for i in range(len(lengths)):
+        apply_arc(gaps, centers[i], lengths[i])
+        if not gaps:
+            return i + 1
+    return None
+
+
+def gap_list_after(centers, lengths) -> list[tuple[float, float]]:
+    gaps = [(0.0, 1.0)]
+    for u, l in zip(centers, lengths):
+        apply_arc(gaps, u, l)
+    return gaps
+
+
+def first_cover_count(arcs) -> int | None:
+    """``covering._first_cover_count`` of (center, length) pairs."""
+    centers, lengths = (np.array(v, dtype=np.float64) for v in zip(*arcs))
+    return covering._first_cover_count(centers, lengths)
+
+
+def assert_structure(gaps: list[tuple[float, float]], total: float):
     prev_end = 0.0
     recomputed = 0.0
-    for start, end in state.gaps:
+    for start, end in gaps:
         assert 0.0 <= start < end <= 1.0
         assert start >= prev_end
         prev_end = end
         recomputed += end - start
-    assert state.total_gap == pytest.approx(recomputed, abs=1e-12)
+    assert total == pytest.approx(recomputed, abs=1e-12)
 
 
 class TestArc:
     def test_half_open_convention(self):
-        # dyadic endpoints keep the mod-1 arithmetic exact
-        arc = Arc(0.875, 0.25)
-        assert arc.covers(0.875)        # start included
-        assert arc.covers(0.0625)       # wraps past zero
-        assert not arc.covers(0.125)    # end excluded
-        assert not arc.covers(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="center"):
-            Arc(1.0, 0.5)
-        with pytest.raises(ValueError, match="length"):
-            Arc(0.5, 1.0)
+        # dyadic endpoints keep the mod-1 arithmetic exact: [0.875, 1.125)
+        # wraps past zero, keeps its start and leaves its end uncovered
+        assert gap_list_after([0.875], [0.25]) == [(0.125, 0.875)]
+        # so the arc [0.125, 0.875) closes the circle with nothing between
+        assert first_cover_count([(0.875, 0.25), (0.125, 0.75)]) == 2
+        assert first_cover_count([(0.875, 0.25), (0.125, 0.75 - 2.0**-53)]) is None
 
 
 class TestApplyArc:
+    """The gap list's step: one arc cut out of a sorted list of gaps."""
+
     def test_single_subtraction(self):
-        state = apply_arc(GapSet.full_circle(), Arc(0.0, 0.4))
-        assert state.gaps == ((0.4, 1.0),)
-        assert state.total_gap == pytest.approx(0.6, abs=1e-15)
+        gaps = [(0.0, 1.0)]
+        assert apply_arc(gaps, 0.0, 0.4) == pytest.approx(0.4, abs=1e-15)
+        assert gaps == [(0.4, 1.0)]
 
     def test_partial_overlap(self):
-        state = GapSet(gaps=((0.4, 1.0),), total_gap=0.6)
-        state = apply_arc(state, Arc(0.3, 0.4))
-        assert state.gaps == ((0.7, 1.0),)
-        assert state.total_gap == pytest.approx(0.3, abs=1e-15)
+        gaps = [(0.4, 1.0)]
+        assert apply_arc(gaps, 0.3, 0.4) == pytest.approx(0.3, abs=1e-15)
+        assert gaps == [(0.7, 1.0)]
 
     def test_wrapping_arc_completes_cover(self):
-        state = GapSet(gaps=((0.7, 1.0),), total_gap=0.3)
-        state = apply_arc(state, Arc(0.6, 0.5))
-        assert state.gaps == ()
-        assert state.total_gap == 0.0
-        assert state.covered
+        gaps = [(0.7, 1.0)]
+        assert apply_arc(gaps, 0.6, 0.5) == pytest.approx(0.3, abs=1e-15)
+        assert gaps == []
 
     def test_gap_split(self):
-        state = apply_arc(GapSet.full_circle(), Arc(0.375, 0.25))
-        assert state.gaps == ((0.0, 0.375), (0.625, 1.0))
-        assert state.total_gap == 0.75
+        gaps = [(0.0, 1.0)]
+        assert apply_arc(gaps, 0.375, 0.25) == 0.25
+        assert gaps == [(0.0, 0.375), (0.625, 1.0)]
 
     def test_idempotent(self):
-        state = apply_arc(GapSet.full_circle(), Arc(0.3, 0.25))
-        once = apply_arc(state, Arc(0.6, 0.3))
-        twice = apply_arc(once, Arc(0.6, 0.3))
-        assert once.gaps == twice.gaps
-        assert once.total_gap == twice.total_gap
+        gaps = [(0.0, 1.0)]
+        apply_arc(gaps, 0.3, 0.25)
+        apply_arc(gaps, 0.6, 0.3)
+        once = list(gaps)
+        assert apply_arc(gaps, 0.6, 0.3) == 0.0
+        assert gaps == once
 
     def test_structural_invariants_random_ops(self):
         # fresh circle every 200 arcs; tiny arcs keep many gaps alive
         rng = np.random.default_rng(60)
         ops = 0
         while ops < 100_000:
-            state = GapSet.full_circle()
+            gaps, total = [(0.0, 1.0)], 1.0
             for _ in range(200):
-                arc = Arc(float(rng.random()), float(rng.uniform(0.001, 0.01)))
-                state = apply_arc(state, arc)
-                assert_structure(state)
+                total -= apply_arc(gaps, float(rng.random()), float(rng.uniform(0.001, 0.01)))
+                assert_structure(gaps, total)
                 ops += 1
-
-    def test_gapset_validation(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            GapSet(gaps=((0.0, 0.5), (0.4, 0.8)), total_gap=0.9)
-        with pytest.raises(ValueError, match="half-open"):
-            GapSet(gaps=((0.5, 0.5),), total_gap=0.0)
 
 
 class TestFirstCover:
-    def test_explicit_three_arc_cover(self):
-        arcs = [Arc(0.0, 0.4), Arc(0.3, 0.4), Arc(0.6, 0.5)]
-        assert first_cover_given(arcs) == 3
-
-    def test_single_arc_never_covers(self):
-        assert first_cover_given([Arc(0.2, 0.999)]) is None
-
-    def test_early_stop(self):
-        arcs = [Arc(0.0, 0.6), Arc(0.5, 0.6), Arc(0.1, 0.2)]
-        assert first_cover_given(arcs) == 2
+    @pytest.mark.parametrize("arcs, count", [
+        ([(0.0, 0.4), (0.3, 0.4), (0.6, 0.5)], 3),
+        ([(0.0, 0.6), (0.5, 0.6), (0.1, 0.2)], 2),
+        ([(0.2, 0.999)], None),
+        ([(0.0, 0.7), (0.6, 0.5)], 2),
+        ([(0.375, 0.25), (0.625, 0.5), (0.125, 0.25)], 3),
+    ], ids=["three-arc-cover", "early-stop", "never-covers", "wrap-completes", "gap-split"])
+    def test_explicit_cases(self, arcs, count):
+        centers, lengths = zip(*arcs)
+        assert _first_cover(lengths, centers) == count
+        assert first_cover_count(arcs) == count
 
     def test_index_deterministic(self):
         seq = LengthSequence.harmonic(c=2, cap=0.99)
@@ -355,14 +400,6 @@ def numpy_stream(seed: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
 
 
-def gap_list_after(centers, lengths) -> list[tuple[float, float]]:
-    gaps = [(0.0, 1.0)]
-    for u, l in zip(centers, lengths):
-        for a, b in _arc_pieces(u, l):
-            _subtract(gaps, a, b)
-    return gaps
-
-
 unit_centers = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 unit_lengths = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 random_arcs = st.lists(st.tuples(unit_centers, unit_lengths), min_size=1, max_size=30)
@@ -422,6 +459,12 @@ class TestSortAndSweep:
         gaps = gap_list_after(centers.tolist(), lengths.tolist())
         assert measure == pytest.approx(math.fsum(b - a for a, b in gaps), abs=1e-16 * (len(gaps) + 1))
 
+    @given(st.one_of(random_arcs, dyadic_arcs, arcs_ending_at_one()))
+    @settings(max_examples=600, deadline=None)
+    def test_first_cover_count_matches_gap_list(self, arcs):
+        centers, lengths = zip(*arcs)
+        assert first_cover_count(arcs) == _first_cover(lengths, centers)
+
     def test_prefix_early_exit_matches_full_sweep(self):
         # c = 0.7, n = 3000: replications first cover within 64 arcs, within
         # 256, later, and never, and 120 replications make two batches.
@@ -479,11 +522,12 @@ class TestSortAndSweep:
         seq, n, reps, seed = LengthSequence.harmonic(c=0.7, cap=0.99), 400, 80, 2**33 + 1
         lengths = generate(seq, n).tolist()
         streams = [numpy_stream(seed, r).random(n).tolist() for r in range(reps)]
-        covered = sum(_first_cover(lengths, centers) is not None for centers in streams)
-        assert coverage_probability(seq, n, reps, seed).covered_count == covered
+        counts = [_first_cover(lengths, centers) for centers in streams]
+        assert coverage_probability(seq, n, reps, seed).covered_count == sum(c is not None for c in counts)
         totals = [math.fsum(b - a for a, b in gap_list_after(centers, lengths)) for centers in streams]
         np.testing.assert_allclose(gap_measure_samples(seq, n, reps, seed), totals, rtol=0, atol=1e-14)
-        assert first_cover_index(seq, seed, n) == _first_cover(lengths, streams[0])
+        assert [covering._first_cover_count(np.array(c), np.array(lengths)) for c in streams] == counts
+        assert first_cover_index(seq, seed, n) == counts[0]
 
 
 class TestSeedValidation:

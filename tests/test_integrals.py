@@ -623,6 +623,39 @@ class TestMonotoneBracket:
         # Where the upper end overflows a float, so may I_n itself.
         assert within_bracket(value, lo, hi) or (hi == math.inf and value >= lo)
 
+    # _LogIntegrand forms each factor's head as l - l*l, whose rounding,
+    # about 1e-16 absolute, cancels against l(1 - l) as l -> 1: the value
+    # is 5,965 ulps low at l = 0.99999 and 7.9e6 ulps low at l = 1 - 1e-8.
+    @pytest.mark.parametrize("l, eps", [
+        pytest.param(0.99999, 1e-6, marks=pytest.mark.xfail(strict=True, reason="l - l*l cancels as l -> 1")),
+        pytest.param(1.0 - 1e-8, 1e-9, marks=pytest.mark.xfail(strict=True, reason="l - l*l cancels as l -> 1")),
+        (0.75, 0.125),
+    ], ids=["l=0.99999", "l=1-1e-8", "l=0.75"])
+    def test_one_factor_matches_its_exact_integral(self, l, eps):
+        value = product_integral([l], eps).value
+        assert abs(ulps_off(value, exact_one_factor_integral(l, eps))) <= 4
+
+    # At eps = 5e-324 every node weight underflows to 0, and log_sum_exp
+    # divides 0 by 0: the result is nan, which `integrate` writes as null.
+    @pytest.mark.xfail(strict=True, reason="the node weights underflow at eps = 5e-324")
+    def test_smallest_subnormal_eps_has_a_finite_log_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = product_integral([0.25, 0.25, 0.25], 5e-324)
+        assert math.isfinite(result.log_value)
+
+
+def exact_one_factor_integral(l: float, eps: float) -> Fraction:
+    """The integral of f_l(t) = (1 - l - min(l, t)) / (1 - l)**2 over [0, eps], in exact rationals."""
+    l, eps = Fraction(l), Fraction(eps)
+    a = min(l, eps)
+    return (a * (1 - l) - a * a / 2 + (eps - a) * (1 - 2 * l)) / (1 - l) ** 2
+
+
+def ulps_off(value: float, exact: Fraction) -> float:
+    """value - exact, in units in the last place of exact rounded to a float."""
+    return float((Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
 
 def mp_log_integrand(mpmath, lengths, points) -> list:
     """log prod_k f_{l_k}(x) at each of ``points``, the products taken in 40-digit mpmath."""
