@@ -1,25 +1,15 @@
 """Compensated sums (Sum2 prefixes, log-sum-exp), the Gauss-Legendre rule, and the product rule.
 
-Gauss-Legendre rules of up to MAX_NODES points are constants taken from
-the decimal builder, which makes every larger rule.
+The Gauss-Legendre rules of orders 1..MAX_NODES, the only ones the
+product rule uses, are constants; the tests build them again at 40
+digits (``conftest.built_gauss_legendre``) and compare every bit.
 """
 
 from __future__ import annotations
 
-import decimal
-import functools
 import math
 
 import numpy as np
-
-# _build_gauss_legendre runs Newton's method in decimal at 40 significant
-# digits and stops once a step falls below _GL_TOLERANCE, far below
-# float64's resolution, so rounding to float64 is the only error that
-# shows.  It makes the orders above MAX_NODES, which only an explicit
-# nodes_per_segment or product_rule(nodes=) asks for; _GL_HALVES holds
-# its output for the orders up to MAX_NODES.
-_GL_CONTEXT = decimal.Context(prec=40)
-_GL_TOLERANCE = decimal.Decimal("1e-30")
 
 # Cap on Gauss-Legendre nodes per quadrature piece: exact up to degree 23,
 # at roundoff above it on pieces sized by the log-drop.
@@ -165,14 +155,6 @@ def log_sum_exp(log_terms: np.ndarray, weights: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + top)
 
 
-def _legendre_pair(n: int, x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(P_n(x), P_{n-1}(x)) by the three-term recurrence, in the current decimal context."""
-    prev, cur = decimal.Decimal(1), x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return cur, prev
-
-
 def _mirrored(order: int, x_half, w_half) -> tuple[np.ndarray, np.ndarray]:
     """The read-only ``order``-point rule from its nonnegative nodes, largest first, and their weights.
 
@@ -187,47 +169,10 @@ def _mirrored(order: int, x_half, w_half) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=None)
-def _build_gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built and cached per order.
-
-    Built in the standard library's software decimal arithmetic, so the
-    rule depends neither on the numpy release nor on the platform's
-    floating point.  Newton's method on the three-term recurrence, run
-    at 40 significant digits, finds each nonnegative node x; with
-    N = n*(P_{n-1}(x) - x*P_n(x)) = (1 - x**2)*P_n'(x), the Newton step
-    is P_n*(1 - x**2)/N and the weight is 2*(1 - x**2)/N**2, taken at
-    the last iterate, less than 1e-30 from the node.  Each node
-    and weight is rounded to float64 once, which makes them correctly
-    rounded at every order the tests check against a 50-digit rule.
-    """
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    n = order
-    half = n // 2
-    # Tricomi's approximation to the positive roots, largest first; the
-    # middle root of an odd order is exactly 0, where P_n is exactly 0.
-    shrink = 1.0 - (n - 1) / (8.0 * n**3)
-    starts = [decimal.Decimal(shrink * math.cos(math.pi * (k - 0.25) / (n + 0.5)))
-              for k in range(1, half + 1)] + [decimal.Decimal(0)] * (n % 2)
-    x_half, w_half = [], []
-    with decimal.localcontext(_GL_CONTEXT):
-        for x in starts:
-            step = 1
-            while abs(step) >= _GL_TOLERANCE:
-                p, p_prev = _legendre_pair(n, x)
-                one_minus_sq = 1 - x * x
-                big_n = n * (p_prev - x * p)
-                step = p * one_minus_sq / big_n
-                x -= step
-            x_half.append(float(x))
-            w_half.append(float(2 * one_minus_sq / (big_n * big_n)))
-    return _mirrored(n, x_half, w_half)
-
-
-# _build_gauss_legendre's rules of orders 1..MAX_NODES: per order, the
-# nonnegative nodes, largest first, and their weights.  repr of a float
-# reads back to the same bits, so these literals are exactly its output;
+# The Gauss-Legendre rules of orders 1..MAX_NODES: per order, the
+# nonnegative nodes, largest first, and their weights, each correctly
+# rounded.  They are the repr of the output of the tests' 40-digit Newton
+# builder, conftest.built_gauss_legendre, so they read back to its bits;
 # a test compares every rule with it bit for bit.
 _GL_HALVES = (
     ((0.0,),
@@ -264,50 +209,51 @@ _GL_RULES = {order: _mirrored(order, *halves) for order, halves in enumerate(_GL
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: the same read-only arrays on every call.
 
-    Orders 1..MAX_NODES come from the table, every bit as
-    _build_gauss_legendre makes them; a larger order is built once and
-    cached.  Each node and weight is correctly rounded at every order
-    the tests check against a 50-digit rule.
+    Orders 1..MAX_NODES, each node and weight correctly rounded (the
+    tests check them against a 50-digit rule); any other order is a
+    ValueError.
     """
-    rule = _GL_RULES.get(order)
-    return rule if rule is not None else _build_gauss_legendre(order)
+    if order not in _GL_RULES:
+        raise ValueError(f"quadrature order must be in 1..{MAX_NODES}, got {order}")
+    return _GL_RULES[order]
 
 
-def segmented_gauss_legendre(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened nodes and weights of an ``order``-point rule on every segment.
+def segmented_gauss_legendre(breakpoints, rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened nodes and weights of the ``(nodes, weights)`` rule on [-1, 1] mapped to every segment.
 
     Segments are the consecutive pairs of the ascending ``breakpoints``;
     the result lists each segment's nodes in ascending order.
     """
     lo, hi = breakpoints[:-1], breakpoints[1:]
-    xg, wg = gauss_legendre(order)
+    xg, wg = rule
     x = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * xg).ravel()
     w = (0.5 * (hi - lo)[:, None] * wg).ravel()
     return x, w
 
 
-def product_rule(breakpoints: np.ndarray, degree, log_integrand, nodes: int | None = None):
+def product_rule(breakpoints: np.ndarray, degree, log_integrand):
     """Nodes, weights, node count q and segment map for a product of positive piecewise-linear factors.
 
     ``degree`` is the product's degree on each segment of the ascending
     ``breakpoints`` (or one for all).  q = min(ceil((max degree + 1)/2),
-    MAX_NODES) nodes, or ``nodes`` uncapped, are exact on a segment of
-    degree <= 2q - 1.  A segment of higher degree is cut into ceil(L)
-    equal pieces, L being the absolute drop across it of ``log_integrand``
-    (the log of the product, called on the breakpoints only then).  A
-    product of positive linear factors has a concave log, so a monotone
-    product's heaviest piece (the first if it decreases, the last if it
-    increases) changes by at most 1 in log, where q nodes are at
-    roundoff; every other piece is smaller by the drop between them.
-    The nodes come q per piece; the segment map holds each piece's segment.
+    MAX_NODES) nodes are exact on a segment of degree <= 2q - 1.  A
+    segment of higher degree is cut into ceil(L) equal pieces, L being
+    the absolute drop across it of ``log_integrand`` (the log of the
+    product, called on the breakpoints only then).  A product of
+    positive linear factors has a concave log, so a monotone product's
+    heaviest piece (the first if it decreases, the last if it increases)
+    changes by at most 1 in log, where q nodes are at roundoff; every
+    other piece is smaller by the drop between them.  The nodes come q
+    per piece; the segment map holds each piece's segment.
     """
-    q = min(math.ceil((np.max(degree) + 1) / 2), MAX_NODES) if nodes is None else int(nodes)
+    q = min(math.ceil((np.max(degree) + 1) / 2), MAX_NODES)
+    rule = gauss_legendre(q)
     high = np.asarray(degree) > 2 * q - 1
     if not high.any():
-        return (*segmented_gauss_legendre(breakpoints, q), q, np.arange(breakpoints.size - 1))
+        return (*segmented_gauss_legendre(breakpoints, rule), q, np.arange(breakpoints.size - 1))
     drop = np.abs(np.diff(log_integrand(breakpoints)))
     pieces = np.where(high, np.maximum(np.ceil(drop), 1.0), 1.0).astype(np.int64)
     seg = np.repeat(np.arange(pieces.size), pieces)
     offset = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     edges = np.append(breakpoints[seg] + np.diff(breakpoints)[seg] * offset / pieces[seg], breakpoints[-1])
-    return (*segmented_gauss_legendre(edges, q), q, seg)
+    return (*segmented_gauss_legendre(edges, rule), q, seg)

@@ -580,6 +580,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         document = _document(config, _RUNNERS[config.command](config))
+        fh = None if config.out is None else open(config.out, "w", encoding="utf-8", newline="\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -587,9 +588,9 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     # Each block is written as it is formed; every column is already computed.
-    if config.out is None:
+    if fh is None:
         sys.stdout.writelines(document)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.writelines(document)
     return 0

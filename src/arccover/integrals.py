@@ -308,17 +308,15 @@ class _LogIntegrand:
         return compensated_cumsum(terms, out=terms)
 
 
-def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = None) -> QuadratureResult:
+def product_integral(lengths, eps: float) -> QuadratureResult:
     """Integrate prod_k f_{l_k}(t) over [0, eps] to roundoff accuracy.
 
     On a breakpoint segment [a, b] the factors with l_k <= a are
     constants and the d factors with l_k > a make the integrand a
-    polynomial of degree d, integrated by ``_accum.product_rule``: 12
-    nodes at most, exact for n <= 23, on pieces sized by the log-drop
-    above.  An explicit ``nodes_per_segment`` lifts the cap;
-    ceil((n+1)/2) integrates every segment exactly in one piece.  Values
-    are exp(sum of logs), combined by log-sum-exp, so ``log_value``
-    stays accurate when ``value`` overflows.
+    polynomial of degree d, integrated by ``_accum.product_rule``: at
+    most MAX_NODES = 12 nodes, exact for n <= 23, on pieces sized by the
+    log-drop above.  Values are exp(sum of logs), combined by
+    log-sum-exp, so ``log_value`` stays accurate when ``value`` overflows.
 
     The O(n) points cost O(n) work each by the direct sum, or O(P) each
     after O(k*P*n) prefix sums by the centred expansion of
@@ -330,9 +328,8 @@ def product_integral(lengths, eps: float, *, nodes_per_segment: int | None = Non
     lengths = as_lengths(lengths)
     eps = check_window(lengths, eps)
     log_integrand = _LogIntegrand(lengths, eps)
-    ahead = MAX_NODES if nodes_per_segment is None else nodes_per_segment
     x, w, nodes, seg = product_rule(log_integrand.breakpoints, log_integrand.degree,
-                                    lambda t: log_integrand(t, ahead), nodes_per_segment)
+                                    lambda t: log_integrand(t, MAX_NODES))
     if lengths.size == 0:
         return QuadratureResult(value=eps, log_value=math.log(eps), segment_count=1, nodes_per_segment=nodes)
 

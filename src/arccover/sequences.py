@@ -216,9 +216,12 @@ def parse_sequence_spec(spec: str) -> LengthSequence:
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
-            if not sep or not key.strip():
+            key = key.strip()
+            if not sep or not key:
                 raise ValueError(f"malformed sequence parameter {item!r}; expected key=value")
-            params[key.strip()] = value.strip()
+            if key in params:
+                raise ValueError(f"duplicate sequence parameter {key!r}")
+            params[key] = value.strip()
 
     if family == "explicit":
         path = params.pop("file", None)
@@ -240,4 +243,6 @@ def parse_sequence_spec(spec: str) -> LengthSequence:
             kwargs[key] = float(value)
         except ValueError:
             raise ValueError(f"sequence parameter {key}={value!r} is not a number") from None
+    if "alpha" in kwargs and family != "power_decay":
+        raise ValueError(f"alpha applies to the power-decay family only, not {family!r}")
     return LengthSequence(family, **kwargs)

@@ -25,8 +25,9 @@ edges (``integrals._CHUNK_ELEMENTS`` = 65536 terms): a ``divergence``
 certificate with checkpoints on, before and after the first two edges,
 a ``criterion`` with checkpoints out of order around them, and a full
 ``criterion`` of 131073 rows in CSV.  Last, the Gauss-Legendre rule of
-each order 1..``MAX_NODES + 1``: every tabled order and the first order
-the decimal builder makes.  A CLI operation's document is its standard
+each order 1..``MAX_NODES + 1``: every order of ``_accum``'s table, and
+the first order above it from ``conftest.built_gauss_legendre``, the
+decimal builder that the tests keep as the table's reference.  A CLI operation's document is its standard
 output; a ``gap_measure_samples`` document is its samples, one ``repr``
 a line, as ``bench/worker.py`` renders them; an inequality document is
 its results, one ``float.hex`` each, and a rule document is its nodes,
@@ -58,7 +59,7 @@ from arccover.sequences import LengthSequence, generate
 TESTS = Path(__file__).parent
 sys.path.insert(0, str(TESTS))
 sys.path.insert(0, str(TESTS.parent / "bench"))
-from conftest import shepp_factor_polyline  # noqa: E402
+from conftest import built_gauss_legendre, shepp_factor_polyline  # noqa: E402
 from test_cli import GOLDEN_CASES, kernel_columns, typed_columns  # noqa: E402
 from test_covering import PAIR_KINDS, pair_cases  # noqa: E402
 from workloads import WORKLOADS, build  # noqa: E402
@@ -154,7 +155,8 @@ def documents():
     for name, argv in BLOCK_EDGES.items():
         yield f"block-edges/{name}", document(argv)
     for order in range(1, MAX_NODES + 2):
-        yield f"gauss-legendre/order{order}", hex_document(np.concatenate(gauss_legendre(order)))
+        rule = gauss_legendre(order) if order <= MAX_NODES else built_gauss_legendre(order)
+        yield f"gauss-legendre/order{order}", hex_document(np.concatenate(rule))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from arccover.integrals import (
 )
 from arccover.sequences import LengthSequence, generate
 
-from conftest import subprocess_env
+from conftest import built_gauss_legendre, subprocess_env
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -253,7 +253,7 @@ def test_criterion_9_second_moment_identity():
     n, reps = 10, 2 * 10**4
     lengths = generate(seq, n)
     breakpoints = np.unique(np.concatenate(([0.0, 0.5], lengths)))
-    nodes, weights = segmented_gauss_legendre(breakpoints, n // 2 + 1)
+    nodes, weights = segmented_gauss_legendre(breakpoints, built_gauss_legendre(n // 2 + 1))
     target = 2.0 * math.fsum(w * pair_uncovered_exact(lengths, d) for d, w in zip(nodes, weights))
     squares = gap_measure_samples(seq, n, reps, 2024) ** 2
     se = float(squares.std(ddof=1)) / math.sqrt(reps)

@@ -82,23 +82,15 @@ def test_golden_commands_build_no_rule_above_the_cap(rule_orders, capsys):
 
 
 def test_commands_take_every_rule_from_the_table(rule_orders, monkeypatch, capsys):
-    """No golden and no smoke-size benchmark command runs the decimal Newton builder."""
+    """No golden and no smoke-size benchmark command asks for a rule the table does not hold."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
     import workloads
 
-    built = []
-    build = _accum._build_gauss_legendre
-
-    def spy(order):
-        built.append(order)
-        return build(order)
-
-    monkeypatch.setattr(_accum, "_build_gauss_legendre", spy)
     bench_ops = [op.argv for workload in workloads.WORKLOADS
                  for op in workloads.build(workload, 1, smoke=True) if op.argv is not None]
     for argv in [*GOLDEN_CASES.values(), *bench_ops]:
         run_cli(list(argv), capsys)
-    assert rule_orders and built == []
+    assert rule_orders and max(rule_orders) <= _accum.MAX_NODES
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):
@@ -123,6 +115,15 @@ def test_out_flag_writes_same_bytes(tmp_path, capsys):
     # only the echoed out path differs
     assert on_disk.replace(json.dumps(str(target)), "null") == stdout_doc
     assert json.loads(on_disk)["rows"] == json.loads(stdout_doc)["rows"]
+
+
+def test_out_flag_to_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.json"
+    assert main(GOLDEN_CASES["integrate.json"] + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(target) in captured.err
+    assert not target.parent.exists()
 
 
 def test_explicit_file_sequence_deterministic(tmp_path, capsys):
@@ -223,12 +224,13 @@ def test_import_loads_no_numpy_random(tmp_path):
 
 def test_import_loads_no_fractions(tmp_path):
     # The byte kernel forms its powers of ten from Python ints when a block
-    # asks for them, and builds no table at import.
-    code = "import arccover, arccover.cli, sys; print('fractions' in sys.modules)"
+    # asks for them, and builds no table at import; the Gauss-Legendre rules
+    # are float constants, built in decimal by the tests only.
+    code = "import arccover, arccover.cli, sys; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_documents_load_no_numpy_ma(tmp_path):
@@ -692,6 +694,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert status == 2
         assert "file" in captured.err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("harmonic:c=1,c=0.5,cap=0.49", "duplicate sequence parameter"),
+        ("harmonic:c=1,alpha=3,cap=0.49", "power-decay family only"),
+    ], ids=["duplicate", "alpha-off-power-decay"])
+    def test_ambiguous_sequence_is_two(self, spec, message, capsys):
+        status = main(["integrate", "--seq", spec, "--eps", "0.25", "--n", "5"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
 
     def test_bad_trials_is_two(self, capsys):
         status = main(["inequality-check", "--trials", "0", "--seed", "1"])

@@ -25,7 +25,7 @@ from arccover.covering import (
 from arccover.integrals import product_integral
 from arccover.sequences import LengthSequence, generate
 
-from conftest import uncovered_fraction_grid
+from conftest import built_gauss_legendre, uncovered_fraction_grid
 
 # The gap list: the sweep's independent reference.  It keeps the uncovered
 # set as a sorted list of disjoint half-open gaps inside [0, 1) and cuts
@@ -598,7 +598,8 @@ class TestOracles:
         moment = 2.0 * float(np.prod((1.0 - lengths) ** 2)) * product_integral(lengths, 0.5).value
         # Acceptance 9's target: the exact pair probability, a polynomial of
         # degree <= n between lengths, by an exact Gauss-Legendre rule.
-        nodes, weights = segmented_gauss_legendre(np.unique(np.concatenate(([0.0, 0.5], lengths))), n // 2 + 1)
+        breakpoints = np.unique(np.concatenate(([0.0, 0.5], lengths)))
+        nodes, weights = segmented_gauss_legendre(breakpoints, built_gauss_legendre(n // 2 + 1))
         target = 2.0 * math.fsum(w * pair_uncovered_exact(lengths, d) for d, w in zip(nodes, weights))
         assert moment == pytest.approx(target, rel=1e-14)
         squares = gap_measure_samples(seq, n, self.REPS, 2025) ** 2

@@ -8,7 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arccover import _accum, integrals
-from arccover._accum import MAX_NODES, compensated_cumsum, exact_parts, gauss_legendre, log_sum_exp, product_rule
+from arccover._accum import (
+    MAX_NODES,
+    compensated_cumsum,
+    exact_parts,
+    gauss_legendre,
+    log_sum_exp,
+    product_rule,
+    segmented_gauss_legendre,
+)
 from arccover.cli import main
 from arccover.integrals import (
     chebyshev_lower_bound,
@@ -23,7 +31,7 @@ from arccover.integrals import (
 )
 from arccover.sequences import LengthSequence, generate
 
-from conftest import midpoint_riemann, mp_log_product_integral
+from conftest import built_gauss_legendre, midpoint_riemann, mp_log_product_integral
 
 
 def random_instance(rng, n_max=8, eps_below_half=False):
@@ -36,6 +44,13 @@ def random_instance(rng, n_max=8, eps_below_half=False):
         hi = min(hi, 0.5)
     eps = float(rng.uniform(0.2, 0.98) * hi)
     return lengths, eps
+
+
+def uncut_log_value(lengths, eps: float, order: int) -> float:
+    """log I_n by the built ``order``-point rule on each breakpoint segment, uncut: exact for order >= (n+1)/2."""
+    log_integrand = integrals._LogIntegrand(lengths, eps)
+    x, w = segmented_gauss_legendre(log_integrand.breakpoints, built_gauss_legendre(order))
+    return log_sum_exp(log_integrand(x), w)
 
 
 class TestPairFactorEval:
@@ -147,7 +162,7 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("order", list(range(1, 65)) + [101, 201, 251])
     def test_correctly_rounded_against_mpmath(self, order):
         mpmath = pytest.importorskip("mpmath")
-        x, w = gauss_legendre(order)
+        x, w = built_gauss_legendre(order)
         ref_x, ref_w = mp_gauss_legendre(mpmath, order)
         # float(mpf) rounds to nearest, so equality means correctly rounded
         assert x[::-1][:len(ref_x)].tolist() == [float(v) for v in ref_x]
@@ -155,7 +170,7 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("order", [1, 2, 5, 13, 64, 101, 1001])
     def test_symmetry_and_weight_sum(self, order):
-        x, w = gauss_legendre(order)
+        x, w = built_gauss_legendre(order)
         assert x.shape == w.shape == (order,)
         assert np.all(np.diff(x) > 0.0)
         assert np.array_equal(x, -x[::-1])
@@ -168,17 +183,16 @@ class TestGaussLegendre:
         for order in range(1, MAX_NODES + 1):
             tabled = gauss_legendre(order)
             assert tabled is _accum._GL_RULES[order]
-            built = _accum._build_gauss_legendre.__wrapped__(order)
-            for a, b in zip(tabled, built):
+            for a, b in zip(tabled, built_gauss_legendre(order)):
                 assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
 
     def test_contract(self):
-        for order in (7, 13):  # tabled, built
+        for order in (1, 7, MAX_NODES):
             x, w = gauss_legendre(order)
             assert gauss_legendre(order)[0] is x and gauss_legendre(order)[1] is w
             assert not x.flags.writeable and not w.flags.writeable
-        for order in (0, -1):
-            with pytest.raises(ValueError, match="order must be >= 1"):
+        for order in (0, -1, MAX_NODES + 1):
+            with pytest.raises(ValueError, match="order must be in 1..12"):
                 gauss_legendre(order)
 
 
@@ -447,8 +461,8 @@ class TestProductIntegral:
         for _ in range(20):
             lengths, eps = random_instance(rng)
             base = product_integral(lengths, eps)
-            doubled = product_integral(lengths, eps, nodes_per_segment=2 * base.nodes_per_segment)
-            assert doubled.value == pytest.approx(base.value, rel=1e-12)
+            doubled = uncut_log_value(lengths, eps, 2 * base.nodes_per_segment)
+            assert math.exp(doubled) == pytest.approx(base.value, rel=1e-12)
 
     def test_window_enforced(self):
         with pytest.raises(ValueError, match="1 - l1"):
@@ -525,9 +539,8 @@ class TestProductIntegral:
     def test_capped_rule_matches_degree_exact_rule(self, seq, n):
         # ceil((n+1)/2) nodes integrate every segment exactly in one piece.
         lengths = generate(seq, n)
-        exact = product_integral(lengths, 0.25, nodes_per_segment=math.ceil((n + 1) / 2))
-        assert exact.segment_count <= n + 1  # one piece per breakpoint segment
-        assert abs(product_integral(lengths, 0.25).log_value - exact.log_value) <= 1e-12
+        exact = uncut_log_value(lengths, 0.25, math.ceil((n + 1) / 2))
+        assert abs(product_integral(lengths, 0.25).log_value - exact) <= 1e-12
 
     def test_flat_factor_above_half_stays_finite(self):
         # log1p(-(l/(1 - l))**2) is NaN for l >= 1/2; a length at or above
@@ -779,10 +792,6 @@ class TestProductRule:
         # Degree-0 segments, as between two families of a stacked batch: one piece each.
         x, w, q, seg = product_rule(np.array([0.0, 0.1, 0.2, 0.3]), np.array([0, 23, 0]), never)
         assert (q, seg.tolist()) == (12, [0, 1, 2])
-
-    def test_explicit_nodes_lift_the_cap(self):
-        x, w, q, seg = product_rule(np.array([0.0, 1.0]), 101, None, nodes=51)
-        assert (q, seg.tolist(), x.size) == (51, [0], 51)
 
     @pytest.mark.parametrize("rising", [False, True], ids=["decreasing", "increasing"])
     def test_pieces_follow_the_log_drop_either_way(self, rising):

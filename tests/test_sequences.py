@@ -201,6 +201,13 @@ class TestParseSpec:
             parse_sequence_spec("harmonic:c")
         with pytest.raises(ValueError, match="not a number"):
             parse_sequence_spec("harmonic:c=abc")
+        with pytest.raises(ValueError, match="duplicate sequence parameter 'c'"):
+            parse_sequence_spec("harmonic:c=1,c=0.5,cap=0.49")
+        with pytest.raises(ValueError, match="duplicate sequence parameter 'file'"):
+            parse_sequence_spec("explicit:file=a.txt, file=b.txt")
+        for family in ("constant", "harmonic", "inverse-sqrt"):
+            with pytest.raises(ValueError, match="power-decay family only"):
+                parse_sequence_spec(f"{family}:c=1,alpha=3")
         with pytest.raises(ValueError, match="file=PATH"):
             parse_sequence_spec("explicit:c=1")
         empty = tmp_path / "empty.txt"
