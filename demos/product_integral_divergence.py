@@ -18,7 +18,6 @@ from arccover import (
     generate,
     product_integral,
     shepp_lower_bound,
-    threshold_index,
 )
 
 EPS = 0.25
@@ -26,7 +25,7 @@ SEQ = LengthSequence.inverse_sqrt(c=1, cap=0.49)   # l_k = min(0.49, 1/sqrt(k)),
 
 print(f"lengths l_k = min(0.49, k^-1/2), eps = {EPS}")
 print(f"first terms: {np.round(generate(SEQ, 8), 4)}")
-m = threshold_index(SEQ, EPS, 100)
+m = shepp_lower_bound(generate(SEQ, 100), EPS).m
 print(f"head size m (terms with l_k >= eps): {m}\n")
 
 print("n        log integral   bound_log    g_log_sum")

@@ -48,21 +48,13 @@ from .integrals import (
     product_integral,
     shepp_lower_bound,
 )
-from .sequences import (
-    EpsilonWindow,
-    LengthSequence,
-    epsilon_window,
-    generate,
-    parse_sequence_spec,
-    threshold_index,
-)
+from .sequences import LengthSequence, generate, parse_sequence_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CriterionSeries",
     "DivergenceRow",
-    "EpsilonWindow",
     "GrowthDerivatives",
     "InequalityCheck",
     "LengthSequence",
@@ -75,7 +67,6 @@ __all__ = [
     "coverage_probability",
     "criterion_partial_sums",
     "divergence_table",
-    "epsilon_window",
     "first_cover_index",
     "gap_measure_samples",
     "generate",
@@ -90,6 +81,5 @@ __all__ = [
     "product_integral_pl",
     "random_monotone_family",
     "shepp_lower_bound",
-    "threshold_index",
     "two_function_correlation",
 ]

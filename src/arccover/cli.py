@@ -478,17 +478,6 @@ def _run_pair_probe(config: RunConfig) -> dict:
     }
 
 
-_RUNNERS = {
-    "integrate": _run_integrate,
-    "bound": _run_bound,
-    "divergence": _run_divergence,
-    "criterion": _run_criterion,
-    "inequality-check": _run_inequality_check,
-    "simulate": _run_simulate,
-    "pair-probe": _run_pair_probe,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -502,55 +491,42 @@ def _checkpoint_list(text: str) -> tuple[int, ...]:
     return values
 
 
+# Each command: its runner, its help line and its flags beyond --format and
+# --out, each mapped to its type (None: a string), as a required flag, or to
+# all of its add_argument keywords.
+_COMMANDS = {
+    "integrate": (_run_integrate, "exact product integral over [0, eps]",
+                  {"--seq": None, "--eps": float, "--n": int}),
+    "bound": (_run_bound, "lower-bound certificate (m, log_C, g_log_sum, bound_log)",
+              {"--seq": None, "--eps": float, "--n": int}),
+    "divergence": (_run_divergence, "certificate growth along checkpoints, with quadrature where affordable",
+                   {"--seq": None, "--eps": float, "--checkpoints": _checkpoint_list,
+                    "--quadrature-cap": {"type": int, "dest": "quadrature_cap"}}),
+    "criterion": (_run_criterion, "partial sums of the covering criterion series",
+                  {"--seq": None, "--n": int,
+                   "--checkpoints": {"type": _checkpoint_list, "default": None,
+                                     "help": "emit only these row indices (default: all)"}}),
+    "inequality-check": (_run_inequality_check, "randomized trials of the monotone-family integral inequality",
+                         {"--trials": int, "--seed": int}),
+    "simulate": (_run_simulate, "coverage probability after n arcs",
+                 {"--seq": None, "--n": int, "--reps": int, "--seed": int}),
+    "pair-probe": (_run_pair_probe, "exact vs Monte Carlo two-point avoidance probability",
+                   {"--seq": None, "--n": int, "--t": float, "--reps": int, "--seed": int}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arccover",
         description="Deterministic tables for random-arc circle covering computations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        return p
-
-    for name, help_text in (("integrate", "exact product integral over [0, eps]"),
-                            ("bound", "lower-bound certificate (m, log_C, g_log_sum, bound_log)")):
-        p = add(name, help_text)
-        p.add_argument("--seq", required=True)
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--n", type=int, required=True)
-
-    p = add("divergence", "certificate growth along checkpoints, with quadrature where affordable")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--checkpoints", type=_checkpoint_list, required=True)
-    p.add_argument("--quadrature-cap", type=int, dest="quadrature_cap")
-
-    p = add("criterion", "partial sums of the covering criterion series")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--checkpoints", type=_checkpoint_list, default=None,
-                   help="emit only these row indices (default: all)")
-
-    p = add("inequality-check", "randomized trials of the monotone-family integral inequality")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("simulate", "coverage probability after n arcs")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("pair-probe", "exact vs Monte Carlo two-point avoidance probability")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
+        for flag, spec in flags.items():
+            p.add_argument(flag, **(spec if isinstance(spec, dict) else {"type": spec, "required": True}))
     return parser
 
 
@@ -569,7 +545,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> str:
     """Execute one validated configuration and return the rendered document."""
-    return render(config, _RUNNERS[config.command](config))
+    return render(config, _COMMANDS[config.command][0](config))
 
 
 _PARSER = build_parser()  # once per process: building it costs more than a small command
@@ -579,7 +555,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
-        document = _document(config, _RUNNERS[config.command](config))
+        document = _document(config, _COMMANDS[config.command][0](config))
         fh = None if config.out is None else open(config.out, "w", encoding="utf-8", newline="\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

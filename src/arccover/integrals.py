@@ -31,6 +31,12 @@ are compensated with the cumulative form of Sum2
 (``_accum.compensated_cumsum``); the certificate's tail sum is the
 correctly rounded ``math.fsum`` of its exact parts (``_accum.exact_parts``).
 
+The quadrature, both bounds and ``divergence_table`` check the window
+0 < eps < 1 - l_1, where every factor is positive on [0, eps]
+(``_check_window``).  The certificates of ``shepp_lower_bound`` and
+``divergence_table`` also check the bound path eps < 1/2, where every
+tail term log g_eps(l_k) is nonnegative (``_check_bound_path``).
+
 All reals are 64-bit floats and all log values are natural logs.
 Everything is a pure function of its inputs and safe to call
 concurrently.
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import MAX_NODES, compensated_cumsum, exact_parts, log_sum_exp, product_rule
-from .sequences import LengthSequence, as_lengths, blocks, check_window, epsilon_window, generate
+from .sequences import LengthSequence, as_lengths, blocks, generate
 
 # Both ways of evaluating the log-integrand, the certificate and the criterion
 # series work in chunks that bound peak memory; a block of at most 512 KiB
@@ -212,6 +218,9 @@ class _LogIntegrand:
     def __init__(self, lengths: np.ndarray, eps: float):
         self.lengths, self.n = lengths, lengths.size
         self.ascending = lengths[::-1]
+        # Each active factor is log1p((head - x) / scale), in both ways.
+        self.head = lengths - lengths * lengths
+        self.scale = np.square(1.0 - lengths)
         # Only lengths <= eps are ever flat on the window, and those are below
         # 1/2 (eps < 1 - l_1), where log1p(-(l/(1 - l))**2) is finite.
         small = self.ascending[:np.count_nonzero(lengths <= eps)]
@@ -251,9 +260,7 @@ class _LogIntegrand:
         min turns a factor that goes flat inside the chunk into its
         constant.
         """
-        lengths = self.lengths
-        head = lengths - lengths * lengths
-        scale = np.square(1.0 - lengths)
+        lengths, head, scale = self.lengths, self.head, self.scale
         out = np.empty_like(x)
         start = 0
         while start < x.size:
@@ -293,14 +300,13 @@ class _LogIntegrand:
 
         Plain cumsum prefixes would move log I_n by some 6e-12 at n = 2*10**4.
         """
-        lengths = self.lengths[:, None]
         centres = (np.arange(self.centres) + 0.5) * self.spacing
         terms = np.zeros((self.n + 1, self.centres, _ORDER + 1))
         first = terms[1:, :, 0]
-        np.subtract(lengths - lengths * lengths, centres, out=first)
-        first /= np.square(1.0 - lengths)
+        np.subtract(self.head[:, None], centres, out=first)
+        first /= self.scale[:, None]
         np.log1p(first, out=first)
-        ratio = 0.5 * self.spacing / (1.0 - lengths - centres)
+        ratio = 0.5 * self.spacing / (1.0 - self.lengths[:, None] - centres)
         power = ratio.copy()
         for p in range(1, _ORDER + 1):
             np.divide(power, p, out=terms[1:, :, p])
@@ -326,7 +332,7 @@ def product_integral(lengths, eps: float) -> QuadratureResult:
     lengths, the expansion from a few hundred.
     """
     lengths = as_lengths(lengths)
-    eps = check_window(lengths, eps)
+    eps = _check_window(lengths, eps)
     log_integrand = _LogIntegrand(lengths, eps)
     x, w, nodes, seg = product_rule(log_integrand.breakpoints, log_integrand.degree,
                                     lambda t: log_integrand(t, MAX_NODES))
@@ -419,6 +425,15 @@ def _certificates(source, eps: float, stops) -> list[LowerBoundCertificate]:
     return rows
 
 
+def _check_window(lengths: np.ndarray, eps: float) -> float:
+    """``eps`` as a float, checked to satisfy 0 < eps < 1 - l_1 for nonincreasing ``lengths``."""
+    eps = float(eps)
+    upper = 1.0 - float(lengths[0]) if lengths.size else 1.0
+    if not 0.0 < eps < upper:
+        raise ValueError(f"eps must satisfy 0 < eps < 1 - l1 = {upper}; got {eps}")
+    return eps
+
+
 def _check_bound_path(eps: float) -> None:
     if eps >= 0.5:
         raise ValueError(f"lower-bound path requires eps < 1/2 (growth coefficient must be positive); got {eps}")
@@ -433,7 +448,7 @@ def chebyshev_lower_bound(lengths, eps: float) -> float:
     consistent with the empty product.
     """
     lengths = as_lengths(lengths)
-    eps = check_window(lengths, eps)
+    eps = _check_window(lengths, eps)
     if lengths.size == 0:
         return eps
     with np.errstate(over="ignore"):
@@ -450,7 +465,7 @@ def shepp_lower_bound(lengths, eps: float) -> LowerBoundCertificate:
     log(chebyshev_lower_bound) identically.
     """
     lengths = as_lengths(lengths)
-    eps = check_window(lengths, eps)
+    eps = _check_window(lengths, eps)
     _check_bound_path(eps)
     return _certificates(lengths, eps, [lengths.size])[0]
 
@@ -478,7 +493,7 @@ def divergence_table(
         raise ValueError("checkpoints must be nonnegative")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    eps = epsilon_window(seq, eps).eps
+    eps = _check_window(generate(seq, 1), eps)
 
     n_max = checkpoints[-1]
     if n_max >= 1:

@@ -1,4 +1,4 @@
-"""Arc-length sequences l_1 >= l_2 >= ... in (0, 1) and their epsilon windows.
+"""Arc-length sequences l_1 >= l_2 >= ... in (0, 1): lengths only.
 
 Every computation in the package is parameterized by a nonincreasing
 sequence of arc lengths inside the open unit interval.  The parametric
@@ -10,7 +10,8 @@ criterion series.
 
 "Decreasing" is implemented as nonincreasing: ties are legal (constant
 sequences are useful test inputs) and nothing downstream needs
-strictness.
+strictness.  The epsilon window 0 < eps < 1 - l_1 and the bound path
+eps < 1/2 are checked where they are used, in ``integrals``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ FAMILIES = ("constant", "harmonic", "inverse_sqrt", "power_decay", "explicit")
 
 
 def _normalize_family(name: str) -> str:
-    return name.strip().lower().replace("-", "_").replace("explicit_list", "explicit")
+    """``name`` as one of FAMILIES, a hyphen read as an underscore; raises for any other name."""
+    family = name.strip().lower().replace("-", "_")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return family
 
 
 def as_lengths(lengths) -> np.ndarray:
@@ -67,8 +72,6 @@ class LengthSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", _normalize_family(self.family))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.family == "explicit":
             if not self.values:
                 raise ValueError("explicit family requires a nonempty values list")
@@ -102,20 +105,6 @@ class LengthSequence:
     @classmethod
     def explicit(cls, values) -> "LengthSequence":
         return cls("explicit", values=tuple(values))
-
-
-@dataclass(frozen=True)
-class EpsilonWindow:
-    """An admissible integration window (0, eps) with eps < 1 - l_1.
-
-    ``bound_path_ok`` records whether eps < 1/2, the extra restriction
-    required by the lower-bound chain (the quadratic growth coefficient
-    must be positive there).
-    """
-
-    eps: float
-    upper: float
-    bound_path_ok: bool
 
 
 def generate(seq: LengthSequence, n: int, start: int = 0) -> np.ndarray:
@@ -170,33 +159,6 @@ def blocks(source, stops, size: int):
             else:
                 yield end, source[first:end]
         start = stop
-
-
-def check_window(lengths: np.ndarray, eps: float) -> float:
-    """``eps`` as a float, checked to satisfy 0 < eps < 1 - l_1 for nonincreasing ``lengths``."""
-    eps = float(eps)
-    upper = 1.0 - float(lengths[0]) if lengths.size else 1.0
-    if not 0.0 < eps < upper:
-        raise ValueError(f"eps must satisfy 0 < eps < 1 - l1 = {upper}; got {eps}")
-    return eps
-
-
-def epsilon_window(seq: LengthSequence, eps: float) -> EpsilonWindow:
-    """Validate 0 < eps < 1 - l_1 and classify the bound path."""
-    head = generate(seq, 1)
-    eps = check_window(head, eps)
-    return EpsilonWindow(eps=eps, upper=1.0 - float(head[0]), bound_path_ok=eps < 0.5)
-
-
-def threshold_index(seq: LengthSequence, eps: float, n: int) -> int:
-    """Smallest m such that l_k < eps for every k in (m, n].
-
-    By monotonicity this is the count of leading terms with l_k >= eps;
-    it is 0 exactly when l_1 < eps.
-    """
-    epsilon_window(seq, eps)
-    lengths = generate(seq, n)
-    return int(np.count_nonzero(lengths >= eps))
 
 
 def parse_sequence_spec(spec: str) -> LengthSequence:

@@ -75,12 +75,6 @@ def test_repeat_runs_byte_identical(name, capsys):
     assert first == second
 
 
-def test_golden_commands_build_no_rule_above_the_cap(rule_orders, capsys):
-    for argv in GOLDEN_CASES.values():
-        run_cli(argv, capsys)
-    assert rule_orders and max(rule_orders) <= _accum.MAX_NODES
-
-
 def test_commands_take_every_rule_from_the_table(rule_orders, monkeypatch, capsys):
     """No golden and no smoke-size benchmark command asks for a rule the table does not hold."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))

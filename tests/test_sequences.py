@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arccover.sequences import (
-    LengthSequence,
-    epsilon_window,
-    generate,
-    parse_sequence_spec,
-    threshold_index,
-)
+from arccover.integrals import divergence_table, shepp_lower_bound
+from arccover.sequences import LengthSequence, generate, parse_sequence_spec
 
 
 class TestGenerate:
@@ -123,51 +118,50 @@ def test_generate_invariants(params):
 class TestEpsilonWindow:
     SEQ = LengthSequence.explicit([0.3, 0.2])
 
-    def test_inside_window(self):
-        win = epsilon_window(self.SEQ, 0.25)
-        assert win.eps == 0.25
-        assert win.upper == 0.7
-        assert win.bound_path_ok is True
-
-    def test_bound_path_flag(self):
-        win = epsilon_window(self.SEQ, 0.6)
-        assert win.upper == 0.7
-        assert win.bound_path_ok is False
-
     def test_boundary_excluded(self):
         with pytest.raises(ValueError, match="1 - l1"):
-            epsilon_window(self.SEQ, 0.7)
+            divergence_table(self.SEQ, 0.7, [1])
         with pytest.raises(ValueError, match="1 - l1"):
-            epsilon_window(self.SEQ, 0.0)
+            divergence_table(self.SEQ, 0.0, [1])
         with pytest.raises(ValueError):
-            epsilon_window(self.SEQ, -0.1)
+            divergence_table(self.SEQ, -0.1, [1])
 
     @given(st.floats(min_value=1e-6, max_value=0.699999))
     @settings(max_examples=100)
     def test_bound_path_ok_iff_below_half(self, eps):
-        assert epsilon_window(self.SEQ, eps).bound_path_ok == (eps < 0.5)
+        if eps < 0.5:
+            shepp_lower_bound([0.3, 0.2], eps)
+        else:
+            with pytest.raises(ValueError, match="1/2"):
+                shepp_lower_bound([0.3, 0.2], eps)
 
 
 class TestThresholdIndex:
+    """The certificate's head count m: the leading terms with l_k >= eps."""
+
+    @staticmethod
+    def head(seq, eps, n):
+        return shepp_lower_bound(generate(seq, n), eps).m
+
     def test_count_by_inspection(self):
         seq = LengthSequence.explicit([0.4, 0.3, 0.1])
-        assert threshold_index(seq, 0.25, 3) == 2
+        assert self.head(seq, 0.25, 3) == 2
 
     def test_all_below(self):
         seq = LengthSequence.explicit([0.1, 0.05])
-        assert threshold_index(seq, 0.25, 2) == 0
+        assert self.head(seq, 0.25, 2) == 0
 
     def test_all_above(self):
         seq = LengthSequence.explicit([0.4, 0.3, 0.1])
-        assert threshold_index(seq, 0.05, 3) == 3
+        assert self.head(seq, 0.05, 3) == 3
 
     def test_nondecreasing_as_eps_shrinks(self):
         seq = LengthSequence.inverse_sqrt(c=1, cap=0.45)
-        values = [threshold_index(seq, eps, 100) for eps in (0.4, 0.3, 0.2, 0.1, 0.05)]
+        values = [self.head(seq, eps, 100) for eps in (0.4, 0.3, 0.2, 0.1, 0.05)]
         assert values == sorted(values)
         # zero exactly when l1 < eps
-        assert threshold_index(seq, 0.46, 100) == 0
-        assert threshold_index(seq, 0.45, 100) > 0
+        assert self.head(seq, 0.46, 100) == 0
+        assert self.head(seq, 0.45, 100) > 0
 
 
 class TestParseSpec:
@@ -210,6 +204,8 @@ class TestParseSpec:
                 parse_sequence_spec(f"{family}:c=1,alpha=3")
         with pytest.raises(ValueError, match="file=PATH"):
             parse_sequence_spec("explicit:c=1")
+        with pytest.raises(ValueError, match="unknown family 'explicit_list'"):
+            parse_sequence_spec("explicit-list:file=x")
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         with pytest.raises(ValueError, match="no values"):
