@@ -692,7 +692,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec, message", [
         ("harmonic:c=1,c=0.5,cap=0.49", "duplicate sequence parameter"),
         ("harmonic:c=1,alpha=3,cap=0.49", "power-decay family only"),
-    ], ids=["duplicate", "alpha-off-power-decay"])
+        ("explicit-list:file=x", "unknown family 'explicit_list'"),
+    ], ids=["duplicate", "alpha-off-power-decay", "unknown-family"])
     def test_ambiguous_sequence_is_two(self, spec, message, capsys):
         status = main(["integrate", "--seq", spec, "--eps", "0.25", "--n", "5"])
         captured = capsys.readouterr()
