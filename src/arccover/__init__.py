@@ -35,14 +35,11 @@ from .covering import (
 from .integrals import (
     CriterionSeries,
     DivergenceRow,
-    GrowthDerivatives,
     LowerBoundCertificate,
     QuadratureResult,
     chebyshev_lower_bound,
     criterion_partial_sums,
     divergence_table,
-    growth_derivative_probe,
-    growth_eval,
     pair_factor_eval,
     pair_factor_integral,
     product_integral,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CriterionSeries",
     "DivergenceRow",
-    "GrowthDerivatives",
     "InequalityCheck",
     "LengthSequence",
     "LowerBoundCertificate",
@@ -70,8 +66,6 @@ __all__ = [
     "first_cover_index",
     "gap_measure_samples",
     "generate",
-    "growth_derivative_probe",
-    "growth_eval",
     "pair_factor_eval",
     "pair_factor_integral",
     "pair_uncovered_exact",

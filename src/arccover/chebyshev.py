@@ -300,10 +300,12 @@ def check_inequality(fs) -> InequalityCheck:
     """Evaluate both sides of the inequality for a commonly monotone family.
 
     ``holds`` is one-sided: the left side may fall below the right by at
-    most 1e-10 * max(1, rhs), so roundoff cannot raise false alarms
-    while genuine violations of any size are caught.  Both sides are
-    formed in linear space, so the verdict is vacuous once they underflow
-    (``rhs`` is 0.0 for some families of 500 functions).
+    most 1e-10 * max(1, rhs), so roundoff cannot raise false alarms.
+    That tolerance is also a blind band: a genuine violation smaller
+    than it counts as holding (ROADMAP item 14 would replace it with a
+    computed rounding bound).  Both sides are formed in linear space, so
+    the verdict is vacuous once they underflow (``rhs`` is 0.0 for some
+    families of 500 functions).
     """
     lhs, rhs = _evaluate(*_rows(_common_family(fs)))
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(_holds(lhs, rhs)), margin=lhs - rhs)

@@ -8,7 +8,8 @@ the probability that an arc of length ``l`` with uniform position
 misses two fixed points at circular distance ``t``, normalized by the
 squared single-point avoidance probability.  This module evaluates
 
-* the closed-form integral of one factor over [0, eps],
+* the closed-form integral of one factor over [0, eps], one formula
+  (``_factor_integrals``) that the certificate's head shares,
 * the product integral  I_n = integral_0^eps  prod_k f_{l_k}(t) dt
   to roundoff by ``_accum.product_rule``, shared with ``chebyshev``, on
   the distinct lengths below eps: exact up to degree 23, and a 12-node
@@ -23,7 +24,8 @@ squared single-point avoidance probability.  This module evaluates
   which satisfies g_eps(x) = integral(f_x)/eps for x < eps and
   g_eps(x) - 1 = x**2 * (1 - 2*eps) / (2*eps*(1 - x)**2) >= 0 for
   eps <= 1/2, so the certificate grows without bound whenever
-  sum(l_k**2) diverges,
+  sum(l_k**2) diverges.  The library forms g_eps only as log g_eps, by
+  this identity (``_log_g``), and only on the bound path,
 * Shepp's covering criterion series  sum_n n**(-2) * exp(l_1 + ... + l_n).
 
 Cumulative sums (length prefixes, flat-factor and power-sum prefixes)
@@ -83,22 +85,14 @@ class QuadratureResult:
 
     ``segment_count`` counts the quadrature pieces (breakpoint segments,
     some cut into equal sub-segments), so ``segment_count *
-    nodes_per_segment`` is the number of points evaluated.
+    nodes_per_segment`` counts the quadrature nodes; when a segment is
+    cut, the breakpoints are evaluated as well, to size its pieces.
     """
 
     value: float
     log_value: float
     segment_count: int
     nodes_per_segment: int
-
-
-@dataclass(frozen=True)
-class GrowthDerivatives:
-    """Finite-difference probe of g_eps at 0: value, first and second derivative."""
-
-    g0: float
-    d1: float
-    d2: float
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ def pair_factor_eval(l: float, t: float) -> float:
     t = float(t)
     if not 0.0 < l < 1.0:
         raise ValueError(f"arc length must lie in (0, 1), got {l}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     numerator = 1.0 - l - min(l, t)
     if numerator <= 0.0:
@@ -177,14 +171,18 @@ def pair_factor_integral(l: float, eps: float) -> float:
     eps = float(eps)
     if not 0.0 < l < 1.0:
         raise ValueError(f"arc length must lie in (0, 1), got {l}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if 1.0 - l - min(l, eps) <= 0.0:
         raise ValueError(f"factor is nonpositive on [0, {eps}] for l={l}")
-    denom = (1.0 - l) ** 2
-    if l < eps:
-        return (0.5 * l * l + eps - 2.0 * eps * l) / denom
-    return (eps * (1.0 - l) - 0.5 * eps * eps) / denom
+    return _factor_integrals([l], eps)[0]
+
+
+def _factor_integrals(ls: list[float], eps: float) -> list[float]:
+    """``pair_factor_integral`` of each length of the list ``ls``, unchecked."""
+    half_eps_sq = 0.5 * eps * eps
+    return [(0.5 * l * l + eps - 2.0 * eps * l if l < eps else eps * (1.0 - l) - half_eps_sq) / (1.0 - l) ** 2
+            for l in ls]
 
 
 # ---------------------------------------------------------------------------
@@ -346,43 +344,7 @@ def product_integral(lengths, eps: float) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# growth function and the lower-bound chain
-
-def _growth(eps: float, x: float) -> float:
-    return (0.5 * x * x + eps - 2.0 * eps * x) / (eps * (1.0 - x) ** 2)
-
-
-def growth_eval(eps: float, x: float) -> float:
-    """g_eps(x) = (x**2/2 + eps - 2*eps*x) / (eps * (1 - x)**2)."""
-    eps = float(eps)
-    x = float(x)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if x >= 1.0:
-        raise ValueError(f"x must be below 1, got {x}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return _growth(eps, x)
-
-
-def growth_derivative_probe(eps: float) -> GrowthDerivatives:
-    """Check g_eps(0)=1, g_eps'(0)=0 and g_eps''(0)=(1-2*eps)/eps numerically.
-
-    Central differences with h=1e-4 (first) and h=1e-3 (second); the
-    closed form is defined for small negative x, so no one-sided
-    stencils are needed.
-    """
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    h1 = 1e-4
-    h2 = 1e-3
-    return GrowthDerivatives(
-        g0=growth_eval(eps, 0.0),
-        d1=(_growth(eps, h1) - _growth(eps, -h1)) / (2.0 * h1),
-        d2=(_growth(eps, h2) - 2.0 * _growth(eps, 0.0) + _growth(eps, -h2)) / (h2 * h2),
-    )
-
+# the lower-bound chain
 
 def _log_g(x: np.ndarray, eps: float) -> np.ndarray:
     # log g by the exact identity g - 1 = x^2 (1-2 eps) / (2 eps (1-x)^2), whose
@@ -405,7 +367,7 @@ def _certificates(source, eps: float, stops) -> list[LowerBoundCertificate]:
     # Lengths are nonincreasing, so the head, l >= eps, leads.  Each block's
     # tail terms become a few parts of the same exact sum, so the fsum of the
     # parts so far has the bits of the fsum of every tail term so far.
-    half_eps_sq, log_eps = 0.5 * eps * eps, math.log(eps)
+    log_eps = math.log(eps)
     head, parts = [], []
 
     def row() -> LowerBoundCertificate:
@@ -416,9 +378,8 @@ def _certificates(source, eps: float, stops) -> list[LowerBoundCertificate]:
     rows = [row() for n in stops if n == 0]
     for end, block in blocks(source, stops, _CHUNK_ELEMENTS):
         m = int(np.count_nonzero(block >= eps))
-        # The head lengths are l >= eps, checked against the window already:
-        # pair_factor_integral's l >= eps branch, without its checks.
-        head += [math.log((eps * (1.0 - v) - half_eps_sq) / (1.0 - v) ** 2) for v in block[:m].tolist()]
+        # The head lengths are checked against the window already.
+        head += map(math.log, _factor_integrals(block[:m].tolist(), eps))
         parts += exact_parts(_log_g(block[m:], eps))[0]
         if end == stops[len(rows)]:
             rows.append(row())

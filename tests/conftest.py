@@ -1,9 +1,12 @@
-"""Shared independent oracles and the subprocess environment for the test suite.
+"""Shared independent oracles, probes of the library's g_eps, and the subprocess environment.
 
-These helpers deliberately avoid the library code paths they are used
+The oracles deliberately avoid the library code paths they are used
 to check: plain midpoint Riemann sums, brute-force grids,
-high-precision mpmath integrals and Gauss-Legendre rules of any order
-built in decimal arithmetic only.
+high-precision mpmath integrals, Gauss-Legendre rules of any order
+built in decimal arithmetic only, and ``paper_growth``, the paper's
+defining quotient for g_eps.  ``growth`` and ``growth_derivatives`` are
+not oracles: they evaluate the library's own g_eps (``_log_g``), the
+only form of it that reaches a certificate, so tests can probe it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import functools
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ import pytest
 import arccover
 from arccover import _accum
 from arccover.chebyshev import MonotonePiecewiseLinear
-from arccover.integrals import pair_factor_eval
+from arccover.integrals import _log_g, pair_factor_eval
 
 
 # built_gauss_legendre runs Newton's method in decimal at 40 significant
@@ -114,6 +118,40 @@ def mp_log_product_integral(mpmath, lengths, eps: float) -> float:
 
             total += mpmath.quad(integrand, [a, b], method="gauss-legendre")
         return float(mpmath.log(total))
+
+
+def paper_growth(eps: float, x: float) -> float:
+    """g_eps(x) = (x**2/2 + eps - 2*eps*x) / (eps * (1 - x)**2), the paper's defining quotient."""
+    return (0.5 * x * x + eps - 2.0 * eps * x) / (eps * (1.0 - x) ** 2)
+
+
+def growth(eps: float, x: float) -> float:
+    """The library's g_eps(x): exp of ``integrals._log_g``."""
+    return math.exp(float(_log_g(np.array([x]), eps)[0]))
+
+
+class GrowthDerivatives(NamedTuple):
+    """The library's g_eps at 0: value, first and second derivative."""
+
+    g0: float
+    d1: float
+    d2: float
+
+
+def growth_derivatives(eps: float) -> GrowthDerivatives:
+    """g_eps(0), g_eps'(0) and g_eps''(0) of ``growth`` by central differences.
+
+    h=1e-4 for the first derivative and h=1e-3 for the second; g_eps is
+    defined for small negative x, so no one-sided stencils are needed.
+    For 0 < eps < 1/2 they should give 1, 0 and (1 - 2*eps)/eps.
+    """
+    h1, h2 = 1e-4, 1e-3
+    g0 = growth(eps, 0.0)
+    return GrowthDerivatives(
+        g0=g0,
+        d1=(growth(eps, h1) - growth(eps, -h1)) / (2.0 * h1),
+        d2=(growth(eps, h2) - 2.0 * g0 + growth(eps, -h2)) / (h2 * h2),
+    )
 
 
 def shepp_factor_polyline(l: float, eps: float) -> MonotonePiecewiseLinear:

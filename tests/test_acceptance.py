@@ -19,15 +19,13 @@ from arccover.chebyshev import check_inequality, random_monotone_family
 from arccover.covering import coverage_probability, gap_measure_samples, pair_uncovered_exact, pair_uncovered_mc
 from arccover.integrals import (
     chebyshev_lower_bound,
-    growth_derivative_probe,
-    growth_eval,
     pair_factor_integral,
     product_integral,
     shepp_lower_bound,
 )
 from arccover.sequences import LengthSequence, generate
 
-from conftest import built_gauss_legendre, subprocess_env
+from conftest import built_gauss_legendre, growth, growth_derivatives, paper_growth, subprocess_env
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -105,7 +103,7 @@ def test_criterion_3_growth_derivatives_and_identity():
     worst_d1 = worst_d2 = 0.0
     for _ in range(100):
         eps = float(rng.uniform(0.01, 0.49))
-        probe = growth_derivative_probe(eps)
+        probe = growth_derivatives(eps)
         target = (1.0 - 2.0 * eps) / eps
         assert probe.g0 == 1.0
         worst_d1 = max(worst_d1, abs(probe.d1))
@@ -117,7 +115,7 @@ def test_criterion_3_growth_derivatives_and_identity():
     for _ in range(10_000):
         eps = float(rng.uniform(0.01, 0.49))
         x = float(rng.uniform(0.0, eps * 0.999))
-        gap = growth_eval(eps, x) - 1.0 - x * x * (1 - 2 * eps) / (2 * eps * (1 - x) ** 2)
+        gap = growth(eps, x) - paper_growth(eps, x)
         worst_identity = max(worst_identity, abs(gap))
 
     ok = worst_d1 < 1e-6 and worst_d2 < 1e-4 and worst_identity < 1e-13

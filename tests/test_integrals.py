@@ -22,8 +22,6 @@ from arccover.integrals import (
     chebyshev_lower_bound,
     criterion_partial_sums,
     divergence_table,
-    growth_derivative_probe,
-    growth_eval,
     pair_factor_eval,
     pair_factor_integral,
     product_integral,
@@ -31,7 +29,14 @@ from arccover.integrals import (
 )
 from arccover.sequences import LengthSequence, generate
 
-from conftest import built_gauss_legendre, midpoint_riemann, mp_log_product_integral
+from conftest import (
+    built_gauss_legendre,
+    growth,
+    growth_derivatives,
+    midpoint_riemann,
+    mp_log_product_integral,
+    paper_growth,
+)
 
 
 def random_instance(rng, n_max=8, eps_below_half=False):
@@ -71,6 +76,10 @@ class TestPairFactorEval:
             pair_factor_eval(1.0, 0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             pair_factor_eval(0.2, -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pair_factor_eval(0.2, math.nan)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            pair_factor_eval(math.nan, 0.1)
 
     @given(st.floats(min_value=0.01, max_value=0.45), st.data())
     @settings(max_examples=200)
@@ -112,6 +121,31 @@ class TestPairFactorIntegral:
             pair_factor_integral(0.5, 0.6)
         with pytest.raises(ValueError, match="nonpositive"):
             pair_factor_integral(0.7, 0.31)
+
+    def test_domain(self):
+        for eps in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                pair_factor_integral(0.2, eps)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            pair_factor_integral(math.nan, 0.3)
+
+    def test_exact_against_fractions_both_branches(self):
+        # Every float is a dyadic rational, so each branch has an exact
+        # value.  This formula is also the certificate head's.  The worst
+        # of this sample is 6.11 ulps (l < eps; 3.49 for l >= eps).
+        rng = np.random.default_rng(3132)
+        worst = 0.0
+        for _ in range(10_000):
+            eps = float(rng.uniform(0.01, 0.49))
+            for l in (float(rng.uniform(0.0, eps)), float(rng.uniform(eps, 1.0 - eps))):
+                fl, fe = Fraction(l), Fraction(eps)
+                if l < eps:
+                    exact = (fl * fl / 2 + fe - 2 * fe * fl) / (1 - fl) ** 2
+                else:
+                    exact = (fe * (1 - fl) - fe * fe / 2) / (1 - fl) ** 2
+                err = abs(Fraction(pair_factor_integral(l, eps)) - exact)
+                worst = max(worst, float(err) / math.ulp(float(exact)))
+        assert worst <= 6.5, worst
 
     def test_against_midpoint_oracle_both_branches(self):
         rng = np.random.default_rng(2024)
@@ -835,23 +869,15 @@ class TestProductRule:
 class TestGrowth:
     def test_at_zero_is_exactly_one(self):
         for eps in (0.01, 0.2, 0.25, 0.49, 0.7):
-            assert growth_eval(eps, 0.0) == 1.0
+            assert growth(eps, 0.0) == 1.0
 
     def test_known_value(self):
-        assert growth_eval(0.25, 0.1) == pytest.approx(1 + 0.01 / 0.81, abs=1e-15)
+        assert growth(0.25, 0.1) == pytest.approx(1 + 0.01 / 0.81, abs=1e-15)
 
     def test_identity_vanishes_at_half(self):
         # dyadic x makes every operation exact
         for x in (0.0, 0.125, 0.25, 0.5, 0.75):
-            assert growth_eval(0.5, x) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError, match="below 1"):
-            growth_eval(0.25, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            growth_eval(0.25, -0.2)
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            growth_eval(1.2, 0.1)
+            assert growth(0.5, x) == 1.0
 
     @given(st.floats(min_value=0.01, max_value=0.49), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=500)
@@ -859,33 +885,46 @@ class TestGrowth:
         # x < eps is the regime the lower-bound chain feeds in; there the
         # identity term is bounded by eps/2, so 1e-13 absolute is meaningful
         x = frac * eps * 0.999
-        lhs = growth_eval(eps, x) - 1.0
-        rhs = x * x * (1 - 2 * eps) / (2 * eps * (1 - x) ** 2)
-        assert lhs == pytest.approx(rhs, abs=1e-13)
+        assert growth(eps, x) - 1.0 == pytest.approx(paper_growth(eps, x) - 1.0, abs=1e-13)
 
     @given(
-        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=0.01, max_value=0.49),
         st.floats(min_value=0.0, max_value=0.95),
     )
     @settings(max_examples=500)
     def test_identity_wide_domain_relative(self, eps, x):
         # far from the bound regime the term can reach thousands, where
-        # only a relative comparison is meaningful in float64
-        lhs = growth_eval(eps, x) - 1.0
-        rhs = x * x * (1 - 2 * eps) / (2 * eps * (1 - x) ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+        # only a relative comparison is meaningful in float64.  eps stays
+        # on the bound path, eps < 1/2: above it log1p's argument can fall
+        # below -1 (nan at eps = x = 0.75), and no certificate forms g there.
+        lhs = growth(eps, x) - 1.0
+        assert lhs == pytest.approx(paper_growth(eps, x) - 1.0, rel=1e-12, abs=1e-13)
 
     def test_derivative_probe(self):
-        probe = growth_derivative_probe(0.25)
+        probe = growth_derivatives(0.25)
         assert probe.g0 == 1.0
         assert abs(probe.d1) < 1e-6
         assert probe.d2 == pytest.approx(2.0, abs=1e-4)
-        assert growth_derivative_probe(0.4).d2 == pytest.approx(0.5, abs=1e-4)
-        assert growth_derivative_probe(0.1).d2 == pytest.approx(8.0, abs=1e-3)
+        assert growth_derivatives(0.4).d2 == pytest.approx(0.5, abs=1e-4)
+        assert growth_derivatives(0.1).d2 == pytest.approx(8.0, abs=1e-3)
 
-    def test_probe_domain(self):
-        with pytest.raises(ValueError, match="1/2"):
-            growth_derivative_probe(0.5)
+    def test_log_g_against_mpmath(self):
+        # The certificate's tail terms against the 40-digit log of the
+        # paper's quotient: x below eps, where the bound path feeds them,
+        # and x in [0, 0.95].  The worst of this sample is 4.08 ulps; the
+        # bound leaves half an ulp for other CPUs' log1p kernels.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3131)
+        eps = rng.uniform(0.01, 0.49, 10_000)
+        x = np.concatenate((rng.uniform(0.0, 1.0, eps.size) * eps, rng.uniform(0.0, 0.95, eps.size)))
+        eps = np.concatenate((eps, eps))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for e, v, got in zip(eps.tolist(), x.tolist(), integrals._log_g(x, eps).tolist()):
+                me, mx = mpmath.mpf(e), mpmath.mpf(v)
+                ref = mpmath.log((mx * mx / 2 + me - 2 * me * mx) / (me * (1 - mx) ** 2))
+                worst = max(worst, float(abs(got - ref)) / math.ulp(float(ref)))
+        assert worst <= 4.5, worst
 
 
 class TestLowerBound:
@@ -943,7 +982,7 @@ class TestLowerBound:
         cert = shepp_lower_bound([0.4, 0.1], 0.3)
         assert cert.m == 1
         assert cert.log_C == pytest.approx(math.log(0.375), abs=1e-14)
-        assert cert.g_log_sum == pytest.approx(math.log(growth_eval(0.3, 0.1)), abs=1e-13)
+        assert cert.g_log_sum == pytest.approx(math.log(paper_growth(0.3, 0.1)), abs=1e-13)
 
     def test_bound_path_requires_small_eps(self):
         with pytest.raises(ValueError, match="1/2"):
